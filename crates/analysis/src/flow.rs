@@ -267,10 +267,7 @@ impl FlowVerdict {
     /// The most sensitive label reaching the sink, if any source exists.
     #[must_use]
     pub fn peak_label(&self) -> Option<FlowLabel> {
-        self.traces
-            .iter()
-            .map(|t| t.label)
-            .reduce(FlowLabel::join)
+        self.traces.iter().map(|t| t.label).reduce(FlowLabel::join)
     }
 }
 
@@ -293,9 +290,7 @@ fn coupling_of(plan: &FilterPlan) -> bool {
         return coupled;
     }
     match plan.placement {
-        Placement::MulticastTemplate => {
-            plan.filter.partition_cross_user().1.has_osn_condition()
-        }
+        Placement::MulticastTemplate => plan.filter.partition_cross_user().1.has_osn_condition(),
         _ => plan.filter.has_osn_condition(),
     }
 }
@@ -359,7 +354,8 @@ pub fn check(plan: &FilterPlan, env: &AnalysisEnv<'_>) -> (FlowVerdict, Vec<Plan
                 format!(
                     "raw {} data reaches the {} sink through an OSN-coupled plan \
                      without an authorized pass through the privacy stage",
-                    source.modality, sink.name(),
+                    source.modality,
+                    sink.name(),
                 ),
             ));
         } else if sink == FlowSink::OsnPublish
@@ -371,7 +367,8 @@ pub fn check(plan: &FilterPlan, env: &AnalysisEnv<'_>) -> (FlowVerdict, Vec<Plan
                 format!(
                     "{} data must be aggregated before the {} sink; \
                      privacy-filtered samples still identify the user",
-                    source.modality, sink.name(),
+                    source.modality,
+                    sink.name(),
                 ),
             ));
         }
@@ -416,10 +413,7 @@ mod tests {
 
     #[test]
     fn join_is_max() {
-        assert_eq!(
-            FlowLabel::Raw.join(FlowLabel::Aggregated),
-            FlowLabel::Raw
-        );
+        assert_eq!(FlowLabel::Raw.join(FlowLabel::Aggregated), FlowLabel::Raw);
         assert_eq!(
             FlowLabel::Aggregated.join(FlowLabel::PrivacyFiltered),
             FlowLabel::PrivacyFiltered
@@ -475,10 +469,8 @@ mod tests {
 
     #[test]
     fn server_plan_over_classified_uplink_is_fine() {
-        let plan = FilterPlan::server(osn_filter()).with_source(FlowSource::new(
-            Modality::Location,
-            Granularity::Classified,
-        ));
+        let plan = FilterPlan::server(osn_filter())
+            .with_source(FlowSource::new(Modality::Location, Granularity::Classified));
         let (_, errors) = check(&plan, &AnalysisEnv::new());
         assert!(errors.is_empty());
     }
@@ -503,13 +495,10 @@ mod tests {
         assert_eq!(errors.len(), 1);
         assert_eq!(errors[0].code, DiagnosticCode::PrivacyFlow);
 
-        let aggregated = FilterPlan::device(
-            Modality::Location,
-            Granularity::Raw,
-            Filter::pass_all(),
-        )
-        .sinking(FlowSink::OsnPublish)
-        .aggregating();
+        let aggregated =
+            FilterPlan::device(Modality::Location, Granularity::Raw, Filter::pass_all())
+                .sinking(FlowSink::OsnPublish)
+                .aggregating();
         let (verdict, errors) = check(&aggregated, &env);
         assert!(errors.is_empty());
         assert_eq!(verdict.peak_label(), Some(FlowLabel::Aggregated));

@@ -56,9 +56,7 @@ impl DependencyGraph {
     pub fn edge_list(&self) -> Vec<(UserId, UserId)> {
         self.edges
             .iter()
-            .flat_map(|(owner, subjects)| {
-                subjects.iter().map(move |s| (owner.clone(), s.clone()))
-            })
+            .flat_map(|(owner, subjects)| subjects.iter().map(move |s| (owner.clone(), s.clone())))
             .collect()
     }
 

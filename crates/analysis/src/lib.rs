@@ -357,10 +357,7 @@ pub fn analyze(plan: &FilterPlan, env: &AnalysisEnv<'_>) -> Result<Analysis, Ana
 
 /// Like [`analyze`], but privacy violations also reject the plan. Used by
 /// server-side paths that have no pause semantics to fall back on.
-pub fn analyze_strict(
-    plan: &FilterPlan,
-    env: &AnalysisEnv<'_>,
-) -> Result<Analysis, AnalysisError> {
+pub fn analyze_strict(plan: &FilterPlan, env: &AnalysisEnv<'_>) -> Result<Analysis, AnalysisError> {
     analyze(plan, env).and_then(Analysis::require_privacy)
 }
 
@@ -496,10 +493,7 @@ mod tests {
         let analysis = analyze(&osn_plan(), &AnalysisEnv::new().with_privacy(&allow))
             .expect("allowing policy authorizes the coupling");
         assert!(analysis.flow.osn_coupled);
-        assert_eq!(
-            analysis.flow.peak_label(),
-            Some(FlowLabel::PrivacyFiltered)
-        );
+        assert_eq!(analysis.flow.peak_label(), Some(FlowLabel::PrivacyFiltered));
     }
 
     #[test]

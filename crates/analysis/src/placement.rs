@@ -31,7 +31,10 @@ pub fn check(plan: &FilterPlan, env: &AnalysisEnv<'_>) -> PlacementOutcome {
                         "condition about user `{}` references another user's context and can \
                          only be evaluated by the server's filter manager; attach it to a \
                          server subscription or a multicast template",
-                        c.subject.as_ref().map(ToString::to_string).unwrap_or_default()
+                        c.subject
+                            .as_ref()
+                            .map(ToString::to_string)
+                            .unwrap_or_default()
                     ),
                 )
                 .at(i),

@@ -258,7 +258,11 @@ fn normalize_numeric(
 
     if let Some(n) = eq {
         if n < lo || n > hi {
-            return Err(unsat(subject, lhs, "pin a value outside the allowed interval"));
+            return Err(unsat(
+                subject,
+                lhs,
+                "pin a value outside the allowed interval",
+            ));
         }
         if neq.contains(&n) {
             return Err(unsat(
@@ -332,7 +336,12 @@ fn normalize_numeric(
 
     let mut out = Vec::new();
     if lo > 0 {
-        out.push(cond(subject, lhs, Operator::GreaterThan, Value::from(lo - 1)));
+        out.push(cond(
+            subject,
+            lhs,
+            Operator::GreaterThan,
+            Value::from(lo - 1),
+        ));
     }
     if hi < dom_hi {
         out.push(cond(subject, lhs, Operator::LessThan, Value::from(hi + 1)));
@@ -411,7 +420,11 @@ mod tests {
     #[test]
     fn excluding_the_whole_enum_is_unsatisfiable() {
         let diags = rejected(vec![
-            Condition::new(ConditionLhs::AudioEnvironment, Operator::NotEquals, "silent"),
+            Condition::new(
+                ConditionLhs::AudioEnvironment,
+                Operator::NotEquals,
+                "silent",
+            ),
             Condition::new(
                 ConditionLhs::AudioEnvironment,
                 Operator::NotEquals,
@@ -437,10 +450,7 @@ mod tests {
             hour(Operator::GreaterThan, 8),
             hour(Operator::GreaterThan, 5),
         ]);
-        assert_eq!(
-            out.filter.conditions,
-            vec![hour(Operator::GreaterThan, 8)]
-        );
+        assert_eq!(out.filter.conditions, vec![hour(Operator::GreaterThan, 8)]);
         assert_eq!(out.warnings.len(), 1);
         assert_eq!(out.warnings[0].code, DiagnosticCode::Redundant);
     }
@@ -511,8 +521,8 @@ mod tests {
     fn cross_user_groups_are_solved_independently() {
         let bob = UserId::new("bob");
         let own = Condition::new(ConditionLhs::HourOfDay, Operator::GreaterThan, 8);
-        let theirs = Condition::new(ConditionLhs::HourOfDay, Operator::LessThan, 5)
-            .about(bob.clone());
+        let theirs =
+            Condition::new(ConditionLhs::HourOfDay, Operator::LessThan, 5).about(bob.clone());
         // Own-user `> 8` and bob's `< 5` do NOT contradict: different users.
         let out = normalized(vec![own.clone(), theirs.clone()]);
         assert_eq!(out.filter.conditions, vec![own, theirs]);

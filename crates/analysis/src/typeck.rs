@@ -30,7 +30,10 @@ fn check_condition(c: &Condition) -> Option<PlanDiagnostic> {
     }
 }
 
-fn check_categorical(c: &Condition, values: Option<&'static [&'static str]>) -> Option<PlanDiagnostic> {
+fn check_categorical(
+    c: &Condition,
+    values: Option<&'static [&'static str]>,
+) -> Option<PlanDiagnostic> {
     let s = match &c.value {
         Value::String(s) => s.as_str(),
         other => {

@@ -23,12 +23,12 @@ use sensocial_analysis::{analyze, flow, Analysis, AnalysisEnv, FilterPlan, FlowL
 use sensocial_runtime::json;
 use sensocial_runtime::prop::{check, vec_of};
 use sensocial_runtime::{SimRng, Timestamp};
-use sensocial_types::{Granularity, Modality};
 use sensocial_types::filter::{Condition, ConditionLhs, EvalContext, Filter, Operator};
 use sensocial_types::{
-    AudioEnvironment, ClassifiedContext, ContextData, ContextSnapshot, OsnAction,
-    PhysicalActivity, UserId,
+    AudioEnvironment, ClassifiedContext, ContextData, ContextSnapshot, OsnAction, PhysicalActivity,
+    UserId,
 };
+use sensocial_types::{Granularity, Modality};
 
 fn arb_lhs(rng: &mut SimRng) -> ConditionLhs {
     *rng.choose(&[

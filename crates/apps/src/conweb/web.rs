@@ -116,10 +116,7 @@ impl WebServer {
             .find_one(&Query::eq("user", user.as_str()))
             .map(|d| d.body);
         let get = |row: &Option<Value>, key: &str| -> Option<String> {
-            row.as_ref()?
-                .get(key)?
-                .as_str()
-                .map(str::to_owned)
+            row.as_ref()?.get(key)?.as_str().map(str::to_owned)
         };
         UserWebContext {
             activity: get(&row, "activity"),
@@ -239,14 +236,9 @@ impl ConWebBrowser {
         let request = json!({"page": page, "user": user.as_str()}).to_string();
         let net = net.clone();
         let from = endpoint.clone();
-        let timer = Timer::start_with_phase(
-            sched,
-            SimDuration::ZERO,
-            refresh,
-            move |s| {
-                let _ = net.send(s, &from, &server_endpoint, request.clone().into_bytes());
-            },
-        );
+        let timer = Timer::start_with_phase(sched, SimDuration::ZERO, refresh, move |s| {
+            let _ = net.send(s, &from, &server_endpoint, request.clone().into_bytes());
+        });
 
         ConWebBrowser {
             endpoint,
@@ -337,7 +329,8 @@ mod tests {
         assert_eq!(first["contrast"], "normal");
 
         // Context changes; the next refresh shows it.
-        ctx.insert(json!({"user": "alice", "activity": "walking"})).unwrap();
+        ctx.insert(json!({"user": "alice", "activity": "walking"}))
+            .unwrap();
         sched.run_for(SimDuration::from_secs(30));
         let adapted = browser.last_page().unwrap();
         assert_eq!(adapted["contrast"], "high");

@@ -75,23 +75,27 @@ impl ConWebServer {
     pub fn install(server: &ServerManager) -> sensocial::Result<Self> {
         let context = server.db().collection("conweb_context");
         let rows = context.clone();
-        server.register_listener(StreamSelector::AllUplinks, Filter::pass_all(), move |_s, event| {
-            let field = match &event.data {
-                ContextData::Classified(c) => match c.modality() {
-                    Modality::Accelerometer => Some(("activity", c.value_string())),
-                    Modality::Microphone => Some(("audio", c.value_string())),
-                    Modality::Location => Some(("place", c.value_string())),
-                    _ => None,
-                },
-                ContextData::Raw(_) => None,
-            };
-            let topic = event
-                .osn_action
-                .as_ref()
-                .and_then(|a| a.topic.clone())
-                .map(|t| ("last_topic", t));
-            upsert(&rows, &event.user, field.into_iter().chain(topic));
-        })?;
+        server.register_listener(
+            StreamSelector::AllUplinks,
+            Filter::pass_all(),
+            move |_s, event| {
+                let field = match &event.data {
+                    ContextData::Classified(c) => match c.modality() {
+                        Modality::Accelerometer => Some(("activity", c.value_string())),
+                        Modality::Microphone => Some(("audio", c.value_string())),
+                        Modality::Location => Some(("place", c.value_string())),
+                        _ => None,
+                    },
+                    ContextData::Raw(_) => None,
+                };
+                let topic = event
+                    .osn_action
+                    .as_ref()
+                    .and_then(|a| a.topic.clone())
+                    .map(|t| ("last_topic", t));
+                upsert(&rows, &event.user, field.into_iter().chain(topic));
+            },
+        )?;
         Ok(ConWebServer { context })
     }
 }

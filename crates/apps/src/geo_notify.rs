@@ -86,11 +86,8 @@ impl GeoNotifyApp {
             .with_interval(interval)
             .with_filter(filter)
             .with_sink(StreamSink::Server);
-        let multicast = server.create_multicast(
-            sched,
-            MulticastSelector::FriendsOf(user.clone()),
-            template,
-        )?;
+        let multicast =
+            server.create_multicast(sched, MulticastSelector::FriendsOf(user.clone()), template)?;
 
         let notifications: Rc<RefCell<Vec<FriendArrival>>> = Rc::new(RefCell::new(Vec::new()));
         let sink = notifications.clone();

@@ -110,24 +110,28 @@ impl SensorMapServer {
         let map = MapView::new();
         let records = server.db().collection("sensor_map");
         let (m, r) = (map.clone(), records.clone());
-        server.register_listener(StreamSelector::AllUplinks, Filter::pass_all(), move |_s, event| {
-            // Only OSN-coupled events belong on the sensor map.
-            if event.osn_action.is_none() {
-                return;
-            }
-            m.add(event_to_marker(event));
-            let marker = event_to_marker(event);
-            let _ = r.insert(json!({
-                "user": event.user.as_str(),
-                "kind": marker.action_kind,
-                "content": marker.action_content,
-                "activity": marker.activity,
-                "audio": marker.audio,
-                "lat": marker.position.map(|p| p.lat),
-                "lon": marker.position.map(|p| p.lon),
-                "at_ms": event.at.as_millis(),
-            }));
-        })?;
+        server.register_listener(
+            StreamSelector::AllUplinks,
+            Filter::pass_all(),
+            move |_s, event| {
+                // Only OSN-coupled events belong on the sensor map.
+                if event.osn_action.is_none() {
+                    return;
+                }
+                m.add(event_to_marker(event));
+                let marker = event_to_marker(event);
+                let _ = r.insert(json!({
+                    "user": event.user.as_str(),
+                    "kind": marker.action_kind,
+                    "content": marker.action_content,
+                    "activity": marker.activity,
+                    "audio": marker.audio,
+                    "lat": marker.position.map(|p| p.lat),
+                    "lon": marker.position.map(|p| p.lon),
+                    "at_ms": event.at.as_millis(),
+                }));
+            },
+        )?;
         Ok(SensorMapServer { map, records })
     }
 }

@@ -147,7 +147,10 @@ impl ContextReport {
                 .get("activity")
                 .and_then(Value::as_str)
                 .map(str::to_owned),
-            audio: value.get("audio").and_then(Value::as_str).map(str::to_owned),
+            audio: value
+                .get("audio")
+                .and_then(Value::as_str)
+                .map(str::to_owned),
             position,
             sensed_at_ms: value.get("sensed_at_ms")?.as_u64()?,
         })

@@ -23,7 +23,11 @@ use sensocial_types::{DeviceId, PhysicalActivity, UserId};
 fn sensor_map_with_middleware_end_to_end() {
     let mut world = World::new(WorldConfig::default());
     world.add_device("alice", "alice-phone", cities::paris());
-    world.device("alice-phone").unwrap().env.set_activity(PhysicalActivity::Walking);
+    world
+        .device("alice-phone")
+        .unwrap()
+        .env
+        .set_activity(PhysicalActivity::Walking);
 
     let (mobile, server_app) = {
         let manager = world.device("alice-phone").unwrap().manager.clone();
@@ -41,9 +45,13 @@ fn sensor_map_with_middleware_end_to_end() {
     assert_eq!(mobile.map.len(), 3, "local map: {:?}", mobile.map.markers());
     assert_eq!(server_app.map.len(), 3);
     let markers = server_app.map.markers();
-    assert!(markers.iter().any(|m| m.activity.as_deref() == Some("walking")));
+    assert!(markers
+        .iter()
+        .any(|m| m.activity.as_deref() == Some("walking")));
     assert!(markers.iter().any(|m| m.position.is_some()));
-    assert!(markers.iter().all(|m| m.action_content == "walking to the match!"));
+    assert!(markers
+        .iter()
+        .all(|m| m.action_content == "walking to the match!"));
     assert_eq!(server_app.records.len(), 3);
 }
 
@@ -52,9 +60,14 @@ fn sensor_map_without_middleware_end_to_end() {
     // Same scenario, no middleware: manual wiring of every component.
     let mut world = World::new(WorldConfig::default());
     world.add_device("alice", "alice-phone", cities::paris());
-    world.device("alice-phone").unwrap().env.set_activity(PhysicalActivity::Walking);
+    world
+        .device("alice-phone")
+        .unwrap()
+        .env
+        .set_activity(PhysicalActivity::Walking);
 
-    let server_broker = BrokerClient::new(&world.net, "rawmap-server-ep", "broker", "rawmap-server");
+    let server_broker =
+        BrokerClient::new(&world.net, "rawmap-server-ep", "broker", "rawmap-server");
     let server_app = RawSensorMapServer::install(
         &mut world.sched,
         server_broker,
@@ -68,8 +81,12 @@ fn sensor_map_without_middleware_end_to_end() {
         let device = world.device("alice-phone").unwrap();
         (device.sensors.clone(), device.battery.clone())
     };
-    let mobile_broker =
-        BrokerClient::new(&world.net, "rawmap-alice-ep", "broker", "rawmap-alice-phone");
+    let mobile_broker = BrokerClient::new(
+        &world.net,
+        "rawmap-alice-ep",
+        "broker",
+        "rawmap-alice-phone",
+    );
     let mobile = RawSensorMapMobile::install(
         &mut world.sched,
         UserId::new("alice"),
@@ -108,7 +125,10 @@ fn conweb_with_middleware_adapts_pages() {
     let server_app = ConWebServer::install(&world.server).unwrap();
 
     let web = WebServer::start(&world.net, "web", server_app.context.clone());
-    web.add_page("news", "A long and detailed article about everything that happened today");
+    web.add_page(
+        "news",
+        "A long and detailed article about everything that happened today",
+    );
     let browser = ConWebBrowser::open(
         &mut world.sched,
         &world.net,
@@ -148,8 +168,12 @@ fn conweb_without_middleware_adapts_pages() {
     world.add_device("alice", "alice-phone", cities::paris());
 
     let context = world.server.db().collection("rawconweb_context");
-    let ingest_broker =
-        BrokerClient::new(&world.net, "rawconweb-ingest-ep", "broker", "rawconweb-ingest");
+    let ingest_broker = BrokerClient::new(
+        &world.net,
+        "rawconweb-ingest-ep",
+        "broker",
+        "rawconweb-ingest",
+    );
     let _ingest = RawConWebIngest::install(
         &mut world.sched,
         ingest_broker,
@@ -161,8 +185,12 @@ fn conweb_without_middleware_adapts_pages() {
         let device = world.device("alice-phone").unwrap();
         (device.sensors.clone(), device.battery.clone())
     };
-    let mobile_broker =
-        BrokerClient::new(&world.net, "rawconweb-alice-ep", "broker", "rawconweb-alice");
+    let mobile_broker = BrokerClient::new(
+        &world.net,
+        "rawconweb-alice-ep",
+        "broker",
+        "rawconweb-alice",
+    );
     let mobile = RawConWebMobile::install(
         &mut world.sched,
         UserId::new("alice"),
@@ -178,7 +206,10 @@ fn conweb_without_middleware_adapts_pages() {
     assert!(mobile.is_running());
 
     let web = WebServer::start(&world.net, "rawweb", context);
-    web.add_page("news", "A long and detailed article about everything that happened today");
+    web.add_page(
+        "news",
+        "A long and detailed article about everything that happened today",
+    );
     let browser = ConWebBrowser::open(
         &mut world.sched,
         &world.net,
@@ -222,8 +253,12 @@ fn geo_notify_reproduces_figure2() {
     world.add_device("d", "d-phone", cities::bordeaux());
     world.add_device("e", "e-phone", cities::bordeaux());
     // A has OSN links with C and D.
-    world.server.record_friendship(&UserId::new("a"), &UserId::new("c"));
-    world.server.record_friendship(&UserId::new("a"), &UserId::new("d"));
+    world
+        .server
+        .record_friendship(&UserId::new("a"), &UserId::new("c"));
+    world
+        .server
+        .record_friendship(&UserId::new("a"), &UserId::new("d"));
 
     let app = GeoNotifyApp::install(
         &mut world.sched,
@@ -239,7 +274,11 @@ fn geo_notify_reproduces_figure2() {
     assert!(app.notifications().is_empty());
 
     // C travels from Bordeaux to Paris.
-    world.device("c-phone").unwrap().env.set_position(cities::paris());
+    world
+        .device("c-phone")
+        .unwrap()
+        .env
+        .set_position(cities::paris());
     world.run_for(SimDuration::from_mins(10));
 
     let notifications = app.notifications();
@@ -249,7 +288,11 @@ fn geo_notify_reproduces_figure2() {
     assert_eq!(notifications[0].notified, UserId::new("a"));
 
     // E also goes to Paris, but E is not A's friend: still one notification.
-    world.device("e-phone").unwrap().env.set_position(cities::paris());
+    world
+        .device("e-phone")
+        .unwrap()
+        .env
+        .set_position(cities::paris());
     world.run_for(SimDuration::from_mins(10));
     let notifications = app.notifications();
     let friends_seen: Vec<&str> = notifications.iter().map(|n| n.friend.as_str()).collect();

@@ -7,7 +7,10 @@ fn main() {
     println!("{:>8} {:>14} {:>14}", "Streams", "Local [%]", "Server [%]");
     let points = experiments::fig5(&[0, 5, 10, 20, 30, 40, 50]);
     for p in &points {
-        println!("{:>8} {:>14.2} {:>14.2}", p.streams, p.local_pct, p.server_pct);
+        println!(
+            "{:>8} {:>14.2} {:>14.2}",
+            p.streams, p.local_pct, p.server_pct
+        );
     }
     println!();
     println!("Paper shape: server-transmitted streams grow steeply; local streams stay low;");

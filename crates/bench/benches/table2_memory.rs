@@ -4,10 +4,16 @@ use sensocial_bench::{experiments, header};
 
 fn main() {
     header("Table 2: memory footprint (DDMS-style)");
-    println!("{:<12} {:>18} {:>10}", "Application", "Heap allocated (MB)", "Objects");
+    println!(
+        "{:<12} {:>18} {:>10}",
+        "Application", "Heap allocated (MB)", "Objects"
+    );
     let rows = experiments::table2();
     for row in &rows {
-        println!("{:<12} {:>18.3} {:>10}", row.application, row.heap_mb, row.objects);
+        println!(
+            "{:<12} {:>18.3} {:>10}",
+            row.application, row.heap_mb, row.objects
+        );
     }
     println!();
     println!(

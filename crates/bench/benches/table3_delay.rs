@@ -5,7 +5,10 @@ use sensocial_bench::{experiments, header};
 fn main() {
     header("Table 3: time delay in receiving OSN notifications (50 actions)");
     let result = experiments::table3(50);
-    println!("{:<18} {:>14} {:>18}", "Notification", "Average [s]", "Standard deviation");
+    println!(
+        "{:<18} {:>14} {:>18}",
+        "Notification", "Average [s]", "Standard deviation"
+    );
     println!(
         "{:<18} {:>14.3} {:>18.3}",
         "OSN to Server", result.osn_to_server.mean, result.osn_to_server.std_dev

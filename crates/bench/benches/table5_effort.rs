@@ -7,7 +7,10 @@ fn main() {
     println!("{:<42} {:>6} {:>8}", "Application", "Files", "LOC");
     let rows = experiments::table5();
     for row in &rows {
-        println!("{:<42} {:>6} {:>8}", row.application, row.files, row.code_lines);
+        println!(
+            "{:<42} {:>6} {:>8}",
+            row.application, row.files, row.code_lines
+        );
     }
     println!();
     println!(

@@ -266,7 +266,9 @@ fn battery_for_actions(actions: usize) -> f64 {
     battery.reset();
     let start = world.sched.now();
     for i in 0..actions {
-        world.sched.run_until(start + SimDuration::from_secs(i as u64 * 120));
+        world
+            .sched
+            .run_until(start + SimDuration::from_secs(i as u64 * 120));
         world.post("alice", &format!("burst action {i}"));
     }
     world.sched.run_until(start + SimDuration::from_mins(20));
@@ -311,7 +313,11 @@ pub fn fig4() -> Vec<Fig4Bar> {
     ];
     for (modality, label) in labels {
         for (granularity, suffix) in [(Granularity::Raw, "R"), (Granularity::Classified, "C")] {
-            bars.push(measure_cycle(modality, granularity, &format!("{label} {suffix}")));
+            bars.push(measure_cycle(
+                modality,
+                granularity,
+                &format!("{label} {suffix}"),
+            ));
         }
     }
     bars.push(measure_gar());
@@ -505,8 +511,7 @@ pub fn memory_vs_streams(points: &[usize]) -> Vec<(usize, f64)> {
                     .expect("stream installs");
             }
             let snapshot = world.device("m-phone").unwrap().memory.snapshot();
-            let heap_mb =
-                (floor.runtime_bytes + snapshot.total_bytes()) as f64 / (1024.0 * 1024.0);
+            let heap_mb = (floor.runtime_bytes + snapshot.total_bytes()) as f64 / (1024.0 * 1024.0);
             (*n, heap_mb)
         })
         .collect()
@@ -552,8 +557,7 @@ pub fn activity_classifier_accuracy(samples_per_class: usize) -> Vec<AccuracyRow
         let correct = (0..samples_per_class)
             .filter(|_| {
                 let sample = sensors.sample_once(&mut sched, Modality::Accelerometer);
-                classifier.classify(&sample)
-                    == Some(ClassifiedContext::Activity(truth))
+                classifier.classify(&sample) == Some(ClassifiedContext::Activity(truth))
             })
             .count();
         AccuracyRow {
@@ -711,7 +715,11 @@ mod tests {
         let conweb_with = rows[2].code_lines as f64;
         let conweb_without = rows[3].code_lines as f64;
         let _ = loc;
-        assert!(map_without / map_with > 3.0, "sensor map ratio {}", map_without / map_with);
+        assert!(
+            map_without / map_with > 3.0,
+            "sensor map ratio {}",
+            map_without / map_with
+        );
         assert!(
             conweb_without / conweb_with > 3.0,
             "conweb ratio {}",

@@ -505,9 +505,11 @@ impl Broker {
                         }
                         // One interned topic and one shared payload per
                         // message, however many sessions queue it.
-                        session
-                            .offline
-                            .push_back(Envelope::new(topic.clone(), payload.clone(), *q));
+                        session.offline.push_back(Envelope::new(
+                            topic.clone(),
+                            payload.clone(),
+                            *q,
+                        ));
                     }
                 }
             }
@@ -561,7 +563,8 @@ impl Broker {
             inner.flush_scheduled = false;
             inner.batch.drain(..).collect()
         };
-        self.telemetry.observe_named("batch_size", batch.len() as u64);
+        self.telemetry
+            .observe_named("batch_size", batch.len() as u64);
         for (client_id, envelope) in batch {
             self.deliver(sched, &client_id, envelope);
         }

@@ -110,11 +110,7 @@ pub struct Envelope {
 
 impl Envelope {
     /// Creates an envelope.
-    pub fn new(
-        topic: impl Into<InternedTopic>,
-        payload: impl Into<Payload>,
-        qos: QoS,
-    ) -> Self {
+    pub fn new(topic: impl Into<InternedTopic>, payload: impl Into<Payload>, qos: QoS) -> Self {
         Envelope {
             topic: topic.into(),
             payload: payload.into(),
@@ -444,7 +440,10 @@ mod tests {
         assert!(err.to_string().contains("MAX_WIRE_LEN"));
         // At the boundary itself parsing still works.
         let garbage = vec![b'x'; MAX_WIRE_LEN];
-        assert!(Packet::from_wire(&garbage).is_err(), "garbage, but not oversized");
+        assert!(
+            Packet::from_wire(&garbage).is_err(),
+            "garbage, but not oversized"
+        );
     }
 
     #[test]

@@ -200,7 +200,11 @@ mod tests {
         assert_eq!(p.base_delay(2).as_millis(), 200);
         assert_eq!(p.base_delay(3).as_millis(), 400);
         assert_eq!(p.base_delay(4).as_millis(), 450, "capped at max");
-        assert_eq!(p.base_delay(63).as_millis(), 450, "huge attempts stay capped");
+        assert_eq!(
+            p.base_delay(63).as_millis(),
+            450,
+            "huge attempts stay capped"
+        );
     }
 
     #[test]

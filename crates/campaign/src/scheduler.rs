@@ -65,7 +65,8 @@ pub struct CampaignSpec {
 impl CampaignSpec {
     /// Due time of occurrence `occ` (0-based).
     pub fn due(&self, occ: u32) -> Timestamp {
-        self.start + SimDuration::from_millis(self.period.as_millis().saturating_mul(u64::from(occ)))
+        self.start
+            + SimDuration::from_millis(self.period.as_millis().saturating_mul(u64::from(occ)))
     }
 
     /// The occurrence token: `"<campaign>/<occ>"`.
@@ -416,7 +417,11 @@ impl CampaignScheduler {
                 break;
             };
             match action {
-                DueAction::Dispatch { campaign, occ, attempt } => {
+                DueAction::Dispatch {
+                    campaign,
+                    occ,
+                    attempt,
+                } => {
                     self.dispatch(sched, &campaign, occ, attempt);
                 }
                 DueAction::Timeout { campaign, occ } => {
@@ -487,7 +492,8 @@ impl CampaignScheduler {
             match self.admit(inner, now_ms, &spec.app) {
                 Ok(()) => {}
                 Err(CampaignError::QuotaExhausted { app, quota }) => {
-                    let reason = format!("quota exhausted: app `{app}` spent its {quota} dispatches");
+                    let reason =
+                        format!("quota exhausted: app `{app}` spent its {quota} dispatches");
                     let record = JournalRecord {
                         seq: take_seq(inner),
                         at_ms: now_ms,
@@ -498,7 +504,9 @@ impl CampaignScheduler {
                         },
                     };
                     self.journal.append(&record);
-                    inner.attempts.insert(key, AttemptState::DeadLettered { reason });
+                    inner
+                        .attempts
+                        .insert(key, AttemptState::DeadLettered { reason });
                     self.telemetry.count("quota_exhausted");
                     self.telemetry.count("dead_lettered");
                     self.update_in_flight(inner);
@@ -558,7 +566,9 @@ impl CampaignScheduler {
                 },
             };
             self.journal.append(&record);
-            inner.tokens.insert(spec.token(occ), (campaign.to_owned(), occ));
+            inner
+                .tokens
+                .insert(spec.token(occ), (campaign.to_owned(), occ));
             inner.attempts.insert(
                 (campaign.to_owned(), occ),
                 AttemptState::Dispatched {
@@ -623,10 +633,16 @@ impl CampaignScheduler {
                 },
             };
             self.journal.append(&record);
-            inner.attempts.insert(key, AttemptState::DeadLettered { reason });
+            inner
+                .attempts
+                .insert(key, AttemptState::DeadLettered { reason });
             self.telemetry.count("dead_lettered");
         } else {
-            let next_at = now + self.policies.backoff.delay(self.seed, campaign, occ, attempt);
+            let next_at = now
+                + self
+                    .policies
+                    .backoff
+                    .delay(self.seed, campaign, occ, attempt);
             let record = JournalRecord {
                 seq: take_seq(inner),
                 at_ms: now.as_millis(),
@@ -901,9 +917,10 @@ impl CampaignScheduler {
                     occurrence,
                     reason,
                 } => {
-                    inner
-                        .attempts
-                        .insert((campaign, occurrence), AttemptState::DeadLettered { reason });
+                    inner.attempts.insert(
+                        (campaign, occurrence),
+                        AttemptState::DeadLettered { reason },
+                    );
                 }
             }
         }

@@ -10,8 +10,7 @@ use sensocial::server::{ServerDeps, ServerManager};
 use sensocial::{Granularity, Modality, PrivacyPolicyManager, StreamSink, StreamSpec};
 use sensocial_broker::{Broker, BrokerClient};
 use sensocial_campaign::{
-    AttemptState, CampaignError, CampaignPolicies, CampaignScheduler, CampaignSpec,
-    RateLimitPolicy,
+    AttemptState, CampaignError, CampaignPolicies, CampaignScheduler, CampaignSpec, RateLimitPolicy,
 };
 use sensocial_energy::{BatteryMeter, CpuCosts, CpuMeter, EnergyProfile, MemoryProfiler};
 use sensocial_net::Network;
@@ -82,7 +81,14 @@ fn sensing_stream(d: &mut Deployment, manager: &ClientManager) -> StreamId {
         .expect("stream creation")
 }
 
-fn campaign(id: &str, device: &str, stream: StreamId, start_s: u64, period_s: u64, n: u32) -> CampaignSpec {
+fn campaign(
+    id: &str,
+    device: &str,
+    stream: StreamId,
+    start_s: u64,
+    period_s: u64,
+    n: u32,
+) -> CampaignSpec {
     CampaignSpec {
         id: id.into(),
         app: "birdwatch".into(),
@@ -161,7 +167,10 @@ fn quota_exhaustion_dead_letters_the_rest() {
     assert_eq!(csnap.counter("campaign.quota_exhausted"), 2);
     assert_eq!(csnap.counter("campaign.dispatched"), 2);
     assert_eq!(
-        manager.telemetry().snapshot().counter("client.campaign_applied"),
+        manager
+            .telemetry()
+            .snapshot()
+            .counter("client.campaign_applied"),
         2
     );
     // The dead letters carry the typed reason.
@@ -197,7 +206,10 @@ fn rate_limit_defers_without_dropping() {
         "occurrences due inside the refill window were throttled"
     );
     assert_eq!(
-        manager.telemetry().snapshot().counter("client.campaign_applied"),
+        manager
+            .telemetry()
+            .snapshot()
+            .counter("client.campaign_applied"),
         3
     );
 }
@@ -225,7 +237,9 @@ fn admission_probe_surfaces_typed_errors() {
         other => panic!("expected RateLimited, got {other:?}"),
     }
     // Probing consumed nothing; a second probe answers the same.
-    assert!(campaigns.admission(Timestamp::from_millis(50), "birdwatch").is_err());
+    assert!(campaigns
+        .admission(Timestamp::from_millis(50), "birdwatch")
+        .is_err());
     drop(d);
 }
 
@@ -261,7 +275,10 @@ fn rejected_commands_retry_then_dead_letter() {
         other => panic!("expected a dead letter, got {other:?}"),
     }
     assert_eq!(
-        manager.telemetry().snapshot().counter("client.campaign_applied"),
+        manager
+            .telemetry()
+            .snapshot()
+            .counter("client.campaign_applied"),
         0
     );
 }
@@ -294,7 +311,10 @@ fn run_crash_failover(seed: u64) -> (u64, u64, u64, String) {
     // The device still applies occurrence 0 and acks — into the void.
     d.sched.run_until(Timestamp::from_secs(20));
     assert_eq!(
-        manager.telemetry().snapshot().counter("client.campaign_applied"),
+        manager
+            .telemetry()
+            .snapshot()
+            .counter("client.campaign_applied"),
         1,
         "only the scheduler died; the device applied occurrence 0"
     );
@@ -369,7 +389,11 @@ fn immediate_failover_settles_in_flight_acks_without_redispatch() {
         replacement.state("camp-a", 0),
         Some(AttemptState::Acked { .. })
     ));
-    assert_eq!(replacement.acked(), 2, "journal replay dedups settled occurrences");
+    assert_eq!(
+        replacement.acked(),
+        2,
+        "journal replay dedups settled occurrences"
+    );
     assert!(matches!(
         replacement.state("camp-a", 2),
         Some(AttemptState::Dispatched { .. })
@@ -387,5 +411,9 @@ fn immediate_failover_settles_in_flight_acks_without_redispatch() {
     );
     let snap = manager.telemetry().snapshot();
     assert_eq!(snap.counter("client.campaign_applied"), 5, "zero lost");
-    assert_eq!(snap.counter("client.campaign_duplicates"), 0, "zero duplicated");
+    assert_eq!(
+        snap.counter("client.campaign_duplicates"),
+        0,
+        "zero duplicated"
+    );
 }

@@ -59,9 +59,7 @@ mod tests {
     fn burst(amplitude: f64) -> RawSample {
         RawSample::Accelerometer(
             (0..400)
-                .map(|i| {
-                    AccelSample::new(0.0, 0.0, 9.81 + (i as f64 * 0.37).sin() * amplitude)
-                })
+                .map(|i| AccelSample::new(0.0, 0.0, 9.81 + (i as f64 * 0.37).sin() * amplitude))
                 .collect(),
         )
     }

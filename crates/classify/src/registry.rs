@@ -134,10 +134,8 @@ mod tests {
 
         let r = ClassifierRegistry::with_defaults(vec![]);
         r.register(Rc::new(AlwaysRunning));
-        let still_burst = RawSample::Accelerometer(vec![
-            sensocial_types::AccelSample::new(0.0, 0.0, 9.81);
-            400
-        ]);
+        let still_burst =
+            RawSample::Accelerometer(vec![sensocial_types::AccelSample::new(0.0, 0.0, 9.81); 400]);
         assert_eq!(
             r.classify(&still_burst),
             Some(ClassifiedContext::Activity(PhysicalActivity::Running)),

@@ -17,11 +17,25 @@ pub enum TextSentiment {
 }
 
 const POSITIVE_KEYWORDS: [&str; 8] = [
-    "love", "amazing", "great", "happy", "wonderful", "excited", "fantastic", "best",
+    "love",
+    "amazing",
+    "great",
+    "happy",
+    "wonderful",
+    "excited",
+    "fantastic",
+    "best",
 ];
 
 const NEGATIVE_KEYWORDS: [&str; 8] = [
-    "hate", "awful", "terrible", "sad", "disappointed", "angry", "worst", "annoyed",
+    "hate",
+    "awful",
+    "terrible",
+    "sad",
+    "disappointed",
+    "angry",
+    "worst",
+    "annoyed",
 ];
 
 /// A keyword-vote sentiment classifier for OSN post text.
@@ -108,7 +122,10 @@ mod tests {
     fn sentiment_votes() {
         let c = SentimentClassifier::new();
         assert_eq!(c.classify("AMAZING and wonderful"), TextSentiment::Positive);
-        assert_eq!(c.classify("terrible, awful, but great"), TextSentiment::Negative);
+        assert_eq!(
+            c.classify("terrible, awful, but great"),
+            TextSentiment::Negative
+        );
         assert_eq!(c.classify("love it, hate it"), TextSentiment::Neutral);
         assert_eq!(c.classify(""), TextSentiment::Neutral);
     }
@@ -123,7 +140,10 @@ mod tests {
     fn topic_extraction_votes() {
         assert_eq!(extract_topic("the match and the goal"), Some("football"));
         assert_eq!(extract_topic("new album from the band"), Some("music"));
-        assert_eq!(extract_topic("dinner then a concert and a song"), Some("music"));
+        assert_eq!(
+            extract_topic("dinner then a concert and a song"),
+            Some("music")
+        );
         assert_eq!(extract_topic("nothing relevant"), None);
     }
 
@@ -131,9 +151,21 @@ mod tests {
     fn classifies_generated_platform_content() {
         // Close the loop against the OSN content generator's phrasing.
         let c = SentimentClassifier::new();
-        assert_eq!(c.classify("I so happy the match tonight!"), TextSentiment::Positive);
-        assert_eq!(c.classify("I so sad the weather today."), TextSentiment::Negative);
-        assert_eq!(extract_topic("Thinking about the match tonight."), Some("football"));
-        assert_eq!(extract_topic("Thinking about dinner at the bistro."), Some("food"));
+        assert_eq!(
+            c.classify("I so happy the match tonight!"),
+            TextSentiment::Positive
+        );
+        assert_eq!(
+            c.classify("I so sad the weather today."),
+            TextSentiment::Negative
+        );
+        assert_eq!(
+            extract_topic("Thinking about the match tonight."),
+            Some("football")
+        );
+        assert_eq!(
+            extract_topic("Thinking about dinner at the bistro."),
+            Some("food")
+        );
     }
 }

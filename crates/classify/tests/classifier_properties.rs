@@ -1,13 +1,11 @@
 //! Property-based tests for the stock classifiers.
 
-use sensocial_classify::{
-    ActivityClassifier, AudioClassifier, Classifier, PlaceClassifier,
-};
+use sensocial_classify::{ActivityClassifier, AudioClassifier, Classifier, PlaceClassifier};
 use sensocial_runtime::prop::check;
+use sensocial_types::geo::{cities, GeoFence};
 use sensocial_types::{
     AccelSample, AudioFrame, ClassifiedContext, GpsFix, PhysicalActivity, Place, RawSample,
 };
-use sensocial_types::geo::{cities, GeoFence};
 
 fn burst(amplitude: f64, n: usize) -> RawSample {
     RawSample::Accelerometer(

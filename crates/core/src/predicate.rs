@@ -29,7 +29,11 @@ use sensocial_types::{ContextSnapshot, UserId};
 /// errors on such conditions before looking at the actual value.
 fn eval_op(op: &PredicateOp, ctx: &EvalContext<'_>) -> Result<bool, EvalError> {
     match op {
-        PredicateOp::Str { lhs, expect, negate } => Ok(match lhs.fetch_string(ctx) {
+        PredicateOp::Str {
+            lhs,
+            expect,
+            negate,
+        } => Ok(match lhs.fetch_string(ctx) {
             Some(actual) => (actual == *expect) != *negate,
             None => false,
         }),
@@ -122,8 +126,7 @@ mod tests {
     use sensocial_runtime::{SimRng, Timestamp};
     use sensocial_types::filter::{Condition, ConditionLhs, Filter};
     use sensocial_types::{
-        ClassifiedContext, ContextData, OsnAction, OsnActionKind, OsnPlatformKind,
-        PhysicalActivity,
+        ClassifiedContext, ContextData, OsnAction, OsnActionKind, OsnPlatformKind, PhysicalActivity,
     };
     use std::collections::BTreeMap;
 

@@ -31,7 +31,9 @@ fn manager_with(classifiers: ClassifierRegistry) -> (Scheduler, ClientManager, D
 }
 
 fn fixture() -> (Scheduler, ClientManager, DeviceEnvironment) {
-    manager_with(ClassifierRegistry::with_defaults(vec![cities::paris_place()]))
+    manager_with(ClassifierRegistry::with_defaults(vec![
+        cities::paris_place(),
+    ]))
 }
 
 type Seen = Rc<RefCell<Vec<ContextData>>>;
@@ -116,7 +118,11 @@ fn set_interval_validates_and_applies() {
         .set_interval(&mut sched, stream, SimDuration::ZERO)
         .is_err());
     assert!(manager
-        .set_interval(&mut sched, sensocial::StreamId::new(999), SimDuration::from_secs(5))
+        .set_interval(
+            &mut sched,
+            sensocial::StreamId::new(999),
+            SimDuration::from_secs(5)
+        )
         .is_err());
     manager
         .set_interval(&mut sched, stream, SimDuration::from_secs(5))
@@ -352,9 +358,14 @@ fn trigger_skips_a_stream_destroyed_by_an_earlier_listener() {
     server.connect(&mut sched);
     let uplinks = Rc::new(Cell::new(0u32));
     let count = uplinks.clone();
-    server.subscribe(&mut sched, UPLINK_WILDCARD, QoS::AtMostOnce, move |_, _, _| {
-        count.set(count.get() + 1);
-    });
+    server.subscribe(
+        &mut sched,
+        UPLINK_WILDCARD,
+        QoS::AtMostOnce,
+        move |_, _, _| {
+            count.set(count.get() + 1);
+        },
+    );
     let env = DeviceEnvironment::new(cities::paris());
     let sensors = SensorManager::new(env, SimRng::seed_from(5));
     let manager = ClientManager::new(ClientDeps {

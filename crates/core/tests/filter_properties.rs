@@ -5,8 +5,8 @@ use sensocial_runtime::json;
 use sensocial_runtime::prop::{check, vec_of};
 use sensocial_runtime::{SimRng, Timestamp};
 use sensocial_types::{
-    AudioEnvironment, ClassifiedContext, ContextData, ContextSnapshot, OsnAction,
-    PhysicalActivity, UserId,
+    AudioEnvironment, ClassifiedContext, ContextData, ContextSnapshot, OsnAction, PhysicalActivity,
+    UserId,
 };
 
 fn arb_lhs(rng: &mut SimRng) -> ConditionLhs {

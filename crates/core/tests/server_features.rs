@@ -161,11 +161,17 @@ fn text_mining_extracts_topics_for_client_filters() {
     }
 
     // Untagged posts: one about football, one about food.
-    rig.platform
-        .post(&mut rig.sched, &UserId::new("alice"), "what a goal in the match!");
+    rig.platform.post(
+        &mut rig.sched,
+        &UserId::new("alice"),
+        "what a goal in the match!",
+    );
     rig.sched.run_for(SimDuration::from_mins(2));
-    rig.platform
-        .post(&mut rig.sched, &UserId::new("alice"), "dinner at the bistro was lovely");
+    rig.platform.post(
+        &mut rig.sched,
+        &UserId::new("alice"),
+        "dinner at the bistro was lovely",
+    );
     rig.sched.run_for(SimDuration::from_mins(2));
 
     let seen = seen.borrow();
@@ -179,10 +185,16 @@ fn text_mining_stores_sentiment_for_researchers() {
     rig.server.enable_text_mining();
     let (_alice, _) = add_device(&mut rig, "alice", "alice-phone");
 
-    rig.platform
-        .post(&mut rig.sched, &UserId::new("alice"), "I love this wonderful day");
-    rig.platform
-        .post(&mut rig.sched, &UserId::new("alice"), "terrible, awful commute");
+    rig.platform.post(
+        &mut rig.sched,
+        &UserId::new("alice"),
+        "I love this wonderful day",
+    );
+    rig.platform.post(
+        &mut rig.sched,
+        &UserId::new("alice"),
+        "terrible, awful commute",
+    );
     rig.sched.run_for(SimDuration::from_mins(2));
 
     let actions = rig.server.db().collection("actions");
@@ -194,8 +206,11 @@ fn text_mining_stores_sentiment_for_researchers() {
 fn text_mining_off_by_default() {
     let mut rig = rig();
     let (_alice, _) = add_device(&mut rig, "alice", "alice-phone");
-    rig.platform
-        .post(&mut rig.sched, &UserId::new("alice"), "I love this wonderful day");
+    rig.platform.post(
+        &mut rig.sched,
+        &UserId::new("alice"),
+        "I love this wonderful day",
+    );
     rig.sched.run_for(SimDuration::from_mins(2));
     let actions = rig.server.db().collection("actions");
     assert_eq!(actions.count(&Query::eq("sentiment", "positive")), 0);

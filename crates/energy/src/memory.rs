@@ -75,7 +75,10 @@ impl MemoryProfiler {
     pub fn free(&self, tag: &str, count: u64, bytes: u64) {
         let mut inner = self.inner.borrow_mut();
         let objs = inner.objects.entry(tag.to_owned()).or_insert(0);
-        debug_assert!(*objs >= count, "freeing more `{tag}` objects than allocated");
+        debug_assert!(
+            *objs >= count,
+            "freeing more `{tag}` objects than allocated"
+        );
         *objs = objs.saturating_sub(count);
         let b = inner.bytes.entry(tag.to_owned()).or_insert(0);
         debug_assert!(*b >= bytes, "freeing more `{tag}` bytes than allocated");

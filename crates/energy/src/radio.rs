@@ -193,7 +193,10 @@ mod tests {
     fn transmission_enters_tail_then_idle() {
         let mut radio = RadioModel::new(Timestamp::ZERO);
         radio.transmit(Timestamp::from_secs(10), 10_000);
-        assert_eq!(radio.state_at(Timestamp::from_millis(10_500)), RadioState::Tail);
+        assert_eq!(
+            radio.state_at(Timestamp::from_millis(10_500)),
+            RadioState::Tail
+        );
         assert_eq!(radio.state_at(Timestamp::from_secs(13)), RadioState::Idle);
     }
 
@@ -221,7 +224,10 @@ mod tests {
         spaced.transmit(Timestamp::from_secs(6), 1_000);
         let independent = spaced.energy_mj(Timestamp::from_secs(10));
 
-        assert!(shared < independent - 500.0, "shared {shared} vs {independent}");
+        assert!(
+            shared < independent - 500.0,
+            "shared {shared} vs {independent}"
+        );
     }
 
     /// The constant-per-burst model used by `EnergyProfile` agrees with
@@ -238,8 +244,7 @@ mod tests {
         }
         let end = Timestamp::from_secs(60 * (n + 1));
         let integrated = radio.energy_uah(end);
-        let constant_model =
-            n as f64 * (profile.transmission_uah(bytes) + profile.radio_tail_uah);
+        let constant_model = n as f64 * (profile.transmission_uah(bytes) + profile.radio_tail_uah);
         let ratio = integrated / constant_model;
         assert!(
             (0.9..=1.1).contains(&ratio),
@@ -261,8 +266,7 @@ mod tests {
             radio.transmit(Timestamp::from_millis(1_000 + 200 * i), bytes);
         }
         let integrated = radio.energy_uah(Timestamp::from_secs(30));
-        let constant_model =
-            n as f64 * (profile.transmission_uah(bytes) + profile.radio_tail_uah);
+        let constant_model = n as f64 * (profile.transmission_uah(bytes) + profile.radio_tail_uah);
         assert!(
             integrated < 0.7 * constant_model,
             "packed bursts should share tails: {integrated:.1} vs {constant_model:.1}"

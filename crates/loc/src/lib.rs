@@ -168,8 +168,9 @@ pub fn count_str(source: &str) -> FileCounts {
                 LexState::RawString(hashes) => {
                     has_code = true;
                     let rest = &line[i..];
-                    let close: String =
-                        std::iter::once('"').chain((0..hashes).map(|_| '#')).collect();
+                    let close: String = std::iter::once('"')
+                        .chain((0..hashes).map(|_| '#'))
+                        .collect();
                     if rest.starts_with(&close) {
                         state = LexState::Normal;
                         i += close.len();

@@ -175,9 +175,7 @@ impl FaultPlan {
 
     /// Whether the endpoint is down (outage or flap) at `at`.
     pub fn endpoint_down(&self, id: &EndpointId, at: Timestamp) -> bool {
-        self.down
-            .iter()
-            .any(|(x, w)| x == id && w.contains(at))
+        self.down.iter().any(|(x, w)| x == id && w.contains(at))
             || self.flaps.iter().any(|(x, f)| x == id && f.is_down(at))
     }
 
@@ -345,7 +343,10 @@ mod tests {
         plan.add_partition(a.clone(), b.clone(), FaultWindow::until(ts(50)));
         plan.add_down(a.clone(), FaultWindow::new(ts(10), ts(20)));
         // Down outranks partition while both are active.
-        assert_eq!(plan.drop_cause(&a, &b, ts(15)), Some(DropCause::EndpointDown));
+        assert_eq!(
+            plan.drop_cause(&a, &b, ts(15)),
+            Some(DropCause::EndpointDown)
+        );
         assert_eq!(plan.drop_cause(&a, &b, ts(25)), Some(DropCause::Partition));
         assert_eq!(plan.drop_cause(&a, &b, ts(60)), None);
         // Partition is directed: b→a was never partitioned.
@@ -379,8 +380,14 @@ mod tests {
             window: FaultWindow::new(ts(5), ts(10)),
             extra: SimDuration::from_millis(50),
         });
-        assert_eq!(plan.extra_latency(&a, &b, ts(1)), SimDuration::from_millis(100));
-        assert_eq!(plan.extra_latency(&a, &b, ts(6)), SimDuration::from_millis(150));
+        assert_eq!(
+            plan.extra_latency(&a, &b, ts(1)),
+            SimDuration::from_millis(100)
+        );
+        assert_eq!(
+            plan.extra_latency(&a, &b, ts(6)),
+            SimDuration::from_millis(150)
+        );
         assert_eq!(plan.extra_latency(&a, &b, ts(11)), SimDuration::ZERO);
         assert_eq!(plan.extra_latency(&b, &a, ts(1)), SimDuration::ZERO);
     }

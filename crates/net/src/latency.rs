@@ -120,7 +120,10 @@ mod tests {
         let mut rng = SimRng::seed_from(3);
         let m = LatencyModel::Exponential { mean_s: 2.0 };
         let n = 20_000;
-        let mean = (0..n).map(|_| m.sample(&mut rng).as_secs_f64()).sum::<f64>() / n as f64;
+        let mean = (0..n)
+            .map(|_| m.sample(&mut rng).as_secs_f64())
+            .sum::<f64>()
+            / n as f64;
         assert!((mean - 2.0).abs() < 0.1, "mean {mean}");
     }
 

@@ -30,7 +30,10 @@ impl LinkSpec {
     ///
     /// Panics if `p` is not within `[0, 1]`.
     pub fn lossy(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "loss probability must be in [0, 1]");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "loss probability must be in [0, 1]"
+        );
         self.loss_probability = p;
         self
     }

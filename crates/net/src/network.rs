@@ -597,5 +597,4 @@ mod tests {
         assert_eq!(h.min_ms, 120);
         assert_eq!(h.max_ms, 120);
     }
-
 }

@@ -132,13 +132,22 @@ mod tests {
         sched.run_for(SimDuration::from_mins(240));
         handle.stop();
         let feed = platform.feed();
-        let posts = feed.iter().filter(|a| a.kind == OsnActionKind::Post).count();
-        let likes = feed.iter().filter(|a| a.kind == OsnActionKind::Like).count();
+        let posts = feed
+            .iter()
+            .filter(|a| a.kind == OsnActionKind::Post)
+            .count();
+        let likes = feed
+            .iter()
+            .filter(|a| a.kind == OsnActionKind::Like)
+            .count();
         let comments = feed
             .iter()
             .filter(|a| a.kind == OsnActionKind::Comment)
             .count();
-        assert!(posts > 0 && likes > 0 && comments > 0, "p={posts} l={likes} c={comments}");
+        assert!(
+            posts > 0 && likes > 0 && comments > 0,
+            "p={posts} l={likes} c={comments}"
+        );
         // Posts carry topics for content-based filters.
         assert!(feed
             .iter()
@@ -152,12 +161,8 @@ mod tests {
         let platform = OsnPlatform::new(SimRng::seed_from(8));
         let alice = UserId::new("alice");
         platform.register_user(alice.clone());
-        let handle = UserActivityModel::default().start(
-            &mut sched,
-            &platform,
-            alice,
-            SimRng::seed_from(11),
-        );
+        let handle =
+            UserActivityModel::default().start(&mut sched, &platform, alice, SimRng::seed_from(11));
         handle.stop();
         sched.run_for(SimDuration::from_mins(120));
         assert!(platform.feed().is_empty());

@@ -9,14 +9,7 @@ use sensocial_runtime::SimRng;
 
 /// Topics the activity generators post about. Filter conditions like the
 /// paper's "when the user posts about football" compare against these tags.
-pub const TOPICS: [&str; 6] = [
-    "football",
-    "music",
-    "food",
-    "travel",
-    "work",
-    "weather",
-];
+pub const TOPICS: [&str; 6] = ["football", "music", "food", "travel", "work", "weather"];
 
 /// Coarse sentiment of a generated post.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,21 +22,9 @@ pub enum Sentiment {
     Neutral,
 }
 
-const POSITIVE_PHRASES: [&str; 5] = [
-    "love",
-    "amazing",
-    "great time",
-    "so happy",
-    "wonderful",
-];
+const POSITIVE_PHRASES: [&str; 5] = ["love", "amazing", "great time", "so happy", "wonderful"];
 
-const NEGATIVE_PHRASES: [&str; 5] = [
-    "hate",
-    "awful",
-    "terrible",
-    "so sad",
-    "disappointed",
-];
+const NEGATIVE_PHRASES: [&str; 5] = ["hate", "awful", "terrible", "so sad", "disappointed"];
 
 const TOPIC_FRAGMENTS: [(&str, &str); 6] = [
     ("football", "the match tonight"),
@@ -120,7 +101,10 @@ mod tests {
     fn negative_posts_contain_negative_phrases() {
         let mut rng = SimRng::seed_from(3);
         let text = generate_post(&mut rng, "work", Sentiment::Negative);
-        assert!(negative_phrases().iter().any(|p| text.contains(p)), "{text}");
+        assert!(
+            negative_phrases().iter().any(|p| text.contains(p)),
+            "{text}"
+        );
     }
 
     #[test]

@@ -250,9 +250,10 @@ mod tests {
         let recent = platform.feed_since(Timestamp::from_secs(5));
         assert_eq!(recent.len(), 1);
         assert_eq!(recent[0].content, "late");
-        assert!(platform
-            .feed_since(Timestamp::from_secs(10))
-            .is_empty(), "boundary is strict");
+        assert!(
+            platform.feed_since(Timestamp::from_secs(10)).is_empty(),
+            "boundary is strict"
+        );
     }
 
     #[test]

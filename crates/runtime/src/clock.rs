@@ -244,7 +244,10 @@ mod tests {
     fn duration_constructors_agree() {
         assert_eq!(SimDuration::from_secs(2), SimDuration::from_millis(2_000));
         assert_eq!(SimDuration::from_mins(3), SimDuration::from_secs(180));
-        assert_eq!(SimDuration::from_secs_f64(1.5), SimDuration::from_millis(1_500));
+        assert_eq!(
+            SimDuration::from_secs_f64(1.5),
+            SimDuration::from_millis(1_500)
+        );
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
     }
 

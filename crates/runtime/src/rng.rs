@@ -92,7 +92,9 @@ impl SimRng {
     pub fn split(&mut self, tag: &str) -> SimRng {
         let mut seed = self.next_u64();
         for byte in tag.as_bytes() {
-            seed = seed.wrapping_mul(0x100000001b3).wrapping_add(u64::from(*byte));
+            seed = seed
+                .wrapping_mul(0x100000001b3)
+                .wrapping_add(u64::from(*byte));
         }
         SimRng::seed_from(seed)
     }

@@ -173,9 +173,14 @@ mod tests {
         let mut s = Scheduler::new();
         let times: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
         let t = times.clone();
-        Timer::start_with_phase(&mut s, SimDuration::ZERO, SimDuration::from_secs(5), move |s| {
-            t.borrow_mut().push(s.now().as_secs());
-        });
+        Timer::start_with_phase(
+            &mut s,
+            SimDuration::ZERO,
+            SimDuration::from_secs(5),
+            move |s| {
+                t.borrow_mut().push(s.now().as_secs());
+            },
+        );
         s.run_until(Timestamp::from_secs(11));
         assert_eq!(*times.borrow(), vec![0, 5, 10]);
     }

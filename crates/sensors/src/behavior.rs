@@ -77,7 +77,10 @@ impl ActivityDriver {
         model: ActivityModel,
         mut rng: SimRng,
     ) -> Self {
-        assert!(model.is_valid(), "activity transition matrix must be row-stochastic");
+        assert!(
+            model.is_valid(),
+            "activity transition matrix must be row-stochastic"
+        );
         let handle = Timer::start(sched, model.step, move |_s| {
             let row = model.transitions[index_of(env.activity())];
             let next = rng

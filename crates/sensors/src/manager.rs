@@ -101,7 +101,7 @@ impl SensorManager {
                 next_sub: 0,
                 battery: None,
                 profile: EnergyProfile::default(),
-            samples_taken: 0,
+                samples_taken: 0,
             })),
         }
     }
@@ -184,7 +184,10 @@ impl SensorManager {
             let sample = manager.sample_once(s, modality);
             callback(s, sample);
         });
-        self.inner.borrow_mut().subscriptions.insert(id, (modality, handle));
+        self.inner
+            .borrow_mut()
+            .subscriptions
+            .insert(id, (modality, handle));
         id
     }
 
@@ -274,7 +277,9 @@ mod tests {
         let got = samples.borrow();
         let times: Vec<u64> = got.iter().map(|(t, _)| *t).collect();
         assert_eq!(times, vec![10, 20, 30]);
-        assert!(got.iter().all(|(_, s)| s.modality() == Modality::Microphone));
+        assert!(got
+            .iter()
+            .all(|(_, s)| s.modality() == Modality::Microphone));
     }
 
     #[test]

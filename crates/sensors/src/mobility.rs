@@ -221,8 +221,11 @@ mod tests {
         );
         sched.run_for(SimDuration::from_secs(200));
         driver.stop();
-        assert!(env.position().distance_m(goal) < 10_000.0,
-            "ended {} from goal", env.position().distance_m(goal));
+        assert!(
+            env.position().distance_m(goal) < 10_000.0,
+            "ended {} from goal",
+            env.position().distance_m(goal)
+        );
     }
 
     #[test]

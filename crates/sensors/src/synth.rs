@@ -134,7 +134,9 @@ mod tests {
         let (env, mut rng) = fixture();
         let s = gps_fix(&env, &mut rng);
         assert_eq!(s.modality(), Modality::Location);
-        let RawSample::Location(fix) = s else { unreachable!() };
+        let RawSample::Location(fix) = s else {
+            unreachable!()
+        };
         assert!(fix.position.distance_m(cities::paris()) < 15.0);
         assert!(fix.accuracy_m >= 4.0 && fix.accuracy_m <= 12.0);
     }
@@ -149,8 +151,7 @@ mod tests {
             PhysicalActivity::Running,
         ] {
             env.set_activity(a);
-            let RawSample::Accelerometer(samples) = accel_burst(&config(), &env, &mut rng)
-            else {
+            let RawSample::Accelerometer(samples) = accel_burst(&config(), &env, &mut rng) else {
                 unreachable!()
             };
             assert_eq!(samples.len(), config().accel_burst_samples());
@@ -181,14 +182,20 @@ mod tests {
         let (env, mut rng) = fixture();
         env.set_visible_aps((0..20).map(|i| (format!("ap{i}"), -50)).collect());
         env.set_nearby_bluetooth((0..20).map(|i| format!("bt{i}")).collect());
-        let RawSample::Wifi(w) = wifi_scan(&env, &mut rng) else { unreachable!() };
-        let RawSample::Bluetooth(b) = bluetooth_scan(&env, &mut rng) else { unreachable!() };
+        let RawSample::Wifi(w) = wifi_scan(&env, &mut rng) else {
+            unreachable!()
+        };
+        let RawSample::Bluetooth(b) = bluetooth_scan(&env, &mut rng) else {
+            unreachable!()
+        };
         assert!(!w.access_points.is_empty() && w.access_points.len() <= 20);
         assert!(!b.nearby_devices.is_empty() && b.nearby_devices.len() <= 20);
         // Over many scans, dropout must actually occur.
         let mut total = 0;
         for _ in 0..50 {
-            let RawSample::Wifi(w) = wifi_scan(&env, &mut rng) else { unreachable!() };
+            let RawSample::Wifi(w) = wifi_scan(&env, &mut rng) else {
+                unreachable!()
+            };
             total += w.access_points.len();
         }
         assert!(total < 50 * 20, "no dropout observed");
@@ -197,9 +204,13 @@ mod tests {
     #[test]
     fn empty_environment_gives_empty_scans() {
         let (env, mut rng) = fixture();
-        let RawSample::Wifi(w) = wifi_scan(&env, &mut rng) else { unreachable!() };
+        let RawSample::Wifi(w) = wifi_scan(&env, &mut rng) else {
+            unreachable!()
+        };
         assert!(w.access_points.is_empty());
-        let RawSample::Bluetooth(b) = bluetooth_scan(&env, &mut rng) else { unreachable!() };
+        let RawSample::Bluetooth(b) = bluetooth_scan(&env, &mut rng) else {
+            unreachable!()
+        };
         assert!(b.nearby_devices.is_empty());
     }
 }

@@ -384,9 +384,9 @@ pub(crate) fn thresholds(spec: &ScenarioSpec, schedule: &Schedule) -> Acceptance
             require_backlog_drain: true,
             campaign: None,
         },
-        ScenarioName::CampaignStorm
-        | ScenarioName::CampaignQuota
-        | ScenarioName::CampaignCrash => campaign_thresholds(spec, schedule),
+        ScenarioName::CampaignStorm | ScenarioName::CampaignQuota | ScenarioName::CampaignCrash => {
+            campaign_thresholds(spec, schedule)
+        }
     }
 }
 
@@ -414,50 +414,50 @@ fn campaign_thresholds(spec: &ScenarioSpec, schedule: &Schedule) -> AcceptanceTh
     let divisor = if faulted { 4 } else { 2 };
     let mean_cap = if faulted { 10_000.0 } else { 2_500.0 };
 
-    let (zero_counters, nonzero_counters): (Vec<&'static str>, Vec<&'static str>) =
-        match spec.name {
-            ScenarioName::CampaignStorm => (
-                vec![
-                    "net.dropped.loss",
-                    "net.dropped.partition",
-                    "net.dropped.endpoint_down",
-                    "client.uplink.dropped",
-                    "broker.offline_dropped",
-                    "campaign.dead_lettered",
-                    "campaign.retried",
-                    "campaign.quota_exhausted",
-                    "client.campaign_duplicates",
-                ],
-                vec!["campaign.dispatched", "campaign.acked"],
-            ),
-            ScenarioName::CampaignQuota => (
-                vec!["net.dropped.loss", "net.dropped.partition"],
-                vec![
-                    "net.dropped.endpoint_down",
-                    "client.uplink.buffered",
-                    "client.uplink.flushed",
-                    "campaign.quota_exhausted",
-                    "campaign.dead_lettered",
-                ],
-            ),
-            _ => (
-                vec![
-                    "net.dropped.loss",
-                    "net.dropped.partition",
-                    "net.dropped.endpoint_down",
-                    "client.uplink.dropped",
-                    "broker.offline_dropped",
-                    "campaign.dead_lettered",
-                    "campaign.quota_exhausted",
-                ],
-                vec![
-                    "campaign.crashed",
-                    "campaign.retried",
-                    "campaign.recovered_records",
-                    "client.campaign_duplicates",
-                ],
-            ),
-        };
+    let (zero_counters, nonzero_counters): (Vec<&'static str>, Vec<&'static str>) = match spec.name
+    {
+        ScenarioName::CampaignStorm => (
+            vec![
+                "net.dropped.loss",
+                "net.dropped.partition",
+                "net.dropped.endpoint_down",
+                "client.uplink.dropped",
+                "broker.offline_dropped",
+                "campaign.dead_lettered",
+                "campaign.retried",
+                "campaign.quota_exhausted",
+                "client.campaign_duplicates",
+            ],
+            vec!["campaign.dispatched", "campaign.acked"],
+        ),
+        ScenarioName::CampaignQuota => (
+            vec!["net.dropped.loss", "net.dropped.partition"],
+            vec![
+                "net.dropped.endpoint_down",
+                "client.uplink.buffered",
+                "client.uplink.flushed",
+                "campaign.quota_exhausted",
+                "campaign.dead_lettered",
+            ],
+        ),
+        _ => (
+            vec![
+                "net.dropped.loss",
+                "net.dropped.partition",
+                "net.dropped.endpoint_down",
+                "client.uplink.dropped",
+                "broker.offline_dropped",
+                "campaign.dead_lettered",
+                "campaign.quota_exhausted",
+            ],
+            vec![
+                "campaign.crashed",
+                "campaign.retried",
+                "campaign.recovered_records",
+                "client.campaign_duplicates",
+            ],
+        ),
+    };
 
     AcceptanceThresholds {
         min_server_uplinks: continuous_floor / divisor,

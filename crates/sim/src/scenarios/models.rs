@@ -416,10 +416,7 @@ mod tests {
     #[test]
     fn events_are_time_ordered() {
         let schedule = generate(&ScenarioSpec::commute_cascade());
-        assert!(schedule
-            .events()
-            .windows(2)
-            .all(|w| w[0].at <= w[1].at));
+        assert!(schedule.events().windows(2).all(|w| w[0].at <= w[1].at));
     }
 
     #[test]

@@ -282,7 +282,10 @@ fn encode_model(model: &MobilityModel) -> String {
                 .iter()
                 .map(|p| format!("{:.7},{:.7}", p.lat, p.lon))
                 .collect();
-            format!("route speed_mps={speed_mps:.2} waypoints={}", points.join(";"))
+            format!(
+                "route speed_mps={speed_mps:.2} waypoints={}",
+                points.join(";")
+            )
         }
     }
 }

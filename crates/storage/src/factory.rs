@@ -109,8 +109,14 @@ mod tests {
 
     #[test]
     fn factory_opens_both_backends() {
-        assert_eq!(StorageConfig::document().open().kind(), BackendKind::Document);
-        assert_eq!(StorageConfig::columnar().open().kind(), BackendKind::Columnar);
+        assert_eq!(
+            StorageConfig::document().open().kind(),
+            BackendKind::Document
+        );
+        assert_eq!(
+            StorageConfig::columnar().open().kind(),
+            BackendKind::Columnar
+        );
     }
 
     #[test]

@@ -95,7 +95,9 @@ mod tests {
                         speed_mps: rng.uniform(0.0, 3.0),
                     })),
                     1 => ContextData::Raw(RawSample::Accelerometer(vec![
-                        AccelSample::new(0.1, 0.2, 9.8);
+                        AccelSample::new(
+                            0.1, 0.2, 9.8
+                        );
                         3
                     ])),
                     2 => ContextData::Raw(RawSample::Microphone(AudioFrame {
@@ -118,7 +120,10 @@ mod tests {
             .collect()
     }
 
-    fn load(config: StorageConfig, workload: &[(String, String, u64, u64, ContextData)]) -> StorageEngine {
+    fn load(
+        config: StorageConfig,
+        workload: &[(String, String, u64, u64, ContextData)],
+    ) -> StorageEngine {
         let storage = config.open();
         for (user, device, stream, at_ms, data) in workload {
             storage.append_context(
@@ -202,12 +207,16 @@ mod tests {
     fn pruning_skips_unmatching_partitions() {
         let work = workload(11, 300);
         let storage = load(StorageConfig::columnar(), &work);
-        let total = storage.telemetry().snapshot().counter("storage.partition.created");
+        let total = storage
+            .telemetry()
+            .snapshot()
+            .counter("storage.partition.created");
         assert!(total > 3, "workload should span several partitions");
-        storage.scan(&SampleQuery::all().for_user("alice").between(
-            Timestamp::from_secs(0),
-            Timestamp::from_secs(60),
-        ));
+        storage.scan(
+            &SampleQuery::all()
+                .for_user("alice")
+                .between(Timestamp::from_secs(0), Timestamp::from_secs(60)),
+        );
         let snap = storage.telemetry().snapshot();
         let scanned = snap.counter("storage.scan.partitions_scanned");
         let pruned = snap.counter("storage.scan.partitions_pruned");

@@ -145,14 +145,10 @@ impl Collection {
 
     /// Fetches a document by id.
     pub fn get(&self, id: DocumentId) -> Option<Document> {
-        self.inner
-            .borrow_mut()
-            .docs
-            .get(&id)
-            .map(|body| Document {
-                id,
-                body: body.clone(),
-            })
+        self.inner.borrow_mut().docs.get(&id).map(|body| Document {
+            id,
+            body: body.clone(),
+        })
     }
 
     /// Finds all documents matching `query`, in id order.
@@ -316,9 +312,12 @@ mod tests {
 
     fn seeded() -> Collection {
         let c = Collection::new("users");
-        c.insert(json!({"name": "alice", "home": "Paris", "age": 30})).unwrap();
-        c.insert(json!({"name": "bob", "home": "Bordeaux", "age": 24})).unwrap();
-        c.insert(json!({"name": "carol", "home": "Paris", "age": 41})).unwrap();
+        c.insert(json!({"name": "alice", "home": "Paris", "age": 30}))
+            .unwrap();
+        c.insert(json!({"name": "bob", "home": "Bordeaux", "age": 24}))
+            .unwrap();
+        c.insert(json!({"name": "carol", "home": "Paris", "age": 41}))
+            .unwrap();
         c
     }
 
@@ -387,7 +386,10 @@ mod tests {
     #[test]
     fn update_set_creates_nested_paths() {
         let c = seeded();
-        c.update_set(&Query::eq("name", "alice"), &[("profile.city", json!("Paris"))]);
+        c.update_set(
+            &Query::eq("name", "alice"),
+            &[("profile.city", json!("Paris"))],
+        );
         let alice = c.find_one(&Query::eq("name", "alice")).unwrap();
         assert_eq!(alice.body["profile"]["city"], "Paris");
     }

@@ -114,9 +114,7 @@ impl FieldIndex {
         // Range scans must not cross type boundaries: a `$gt 5` query only
         // compares against numbers (strings are incomparable with numbers
         // in the evaluator). Filter to same-variant keys.
-        let same_type = |k: &OrderedKey| {
-            std::mem::discriminant(k) == std::mem::discriminant(&key)
-        };
+        let same_type = |k: &OrderedKey| std::mem::discriminant(k) == std::mem::discriminant(&key);
         Some(
             range
                 .filter(|(k, _)| same_type(k))
@@ -154,8 +152,14 @@ mod tests {
         idx.insert(&json!("paris"), id(1));
         idx.insert(&json!("paris"), id(2));
         idx.insert(&json!("bordeaux"), id(3));
-        assert_eq!(idx.candidates(CmpOp::Eq, &json!("paris")).unwrap(), vec![id(1), id(2)]);
-        assert!(idx.candidates(CmpOp::Eq, &json!("lyon")).unwrap().is_empty());
+        assert_eq!(
+            idx.candidates(CmpOp::Eq, &json!("paris")).unwrap(),
+            vec![id(1), id(2)]
+        );
+        assert!(idx
+            .candidates(CmpOp::Eq, &json!("lyon"))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -166,7 +170,11 @@ mod tests {
         idx.insert(&json!(9), id(9));
         idx.insert(&json!("zzz"), id(100)); // string sorts after numbers
         let got = idx.candidates(CmpOp::Gt, &json!(3)).unwrap();
-        assert_eq!(got, vec![id(5), id(9)], "string key must not leak into numeric range");
+        assert_eq!(
+            got,
+            vec![id(5), id(9)],
+            "string key must not leak into numeric range"
+        );
         let got = idx.candidates(CmpOp::Lte, &json!(5)).unwrap();
         assert_eq!(got, vec![id(1), id(5)]);
     }

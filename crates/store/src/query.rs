@@ -307,7 +307,10 @@ mod tests {
         assert!(!Query::and(vec![Query::eq("a", 1), Query::eq("b", 3)]).matches(&d));
         assert!(Query::or(vec![Query::eq("a", 9), Query::eq("b", 2)]).matches(&d));
         assert!(Query::not(Query::eq("a", 9)).matches(&d));
-        assert!(Query::And(vec![]).matches(&d), "empty $and is vacuous truth");
+        assert!(
+            Query::And(vec![]).matches(&d),
+            "empty $and is vacuous truth"
+        );
         assert!(!Query::Or(vec![]).matches(&d), "empty $or matches nothing");
     }
 

@@ -38,7 +38,11 @@ fn field_index_follows_repeated_updates() {
     }
     assert_eq!(c.count(&Query::eq("city", "B")), 1);
     for city in ["A", "C", "D"] {
-        assert_eq!(c.count(&Query::eq("city", city)), 0, "stale index for {city}");
+        assert_eq!(
+            c.count(&Query::eq("city", city)),
+            0,
+            "stale index for {city}"
+        );
     }
 }
 

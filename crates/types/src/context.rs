@@ -514,7 +514,9 @@ mod tests {
     #[test]
     fn classification_shrinks_payload() {
         let burst = ContextData::Raw(RawSample::Accelerometer(vec![
-            AccelSample::new(0.0, 0.0, 9.8);
+            AccelSample::new(
+                0.0, 0.0, 9.8
+            );
             400
         ]));
         let classified =

@@ -162,16 +162,12 @@ impl ConditionLhs {
     #[must_use]
     pub fn fetch_string(self, ctx: &EvalContext<'_>) -> Option<String> {
         match self {
-            ConditionLhs::PhysicalActivity => {
-                ctx.snapshot.activity().map(|a| a.name().to_owned())
-            }
+            ConditionLhs::PhysicalActivity => ctx.snapshot.activity().map(|a| a.name().to_owned()),
             ConditionLhs::AudioEnvironment => ctx
                 .snapshot
                 .classified(Modality::Microphone)
                 .map(|(_, c)| c.value_string()),
-            ConditionLhs::Place => {
-                Some(ctx.snapshot.place().unwrap_or("unknown").to_owned())
-            }
+            ConditionLhs::Place => Some(ctx.snapshot.place().unwrap_or("unknown").to_owned()),
             ConditionLhs::OsnActivity => Some(
                 if ctx.osn_action.is_some() {
                     "active"
@@ -180,9 +176,7 @@ impl ConditionLhs {
                 }
                 .to_owned(),
             ),
-            ConditionLhs::OsnActionKind => {
-                ctx.osn_action.map(|a| a.kind.name().to_owned())
-            }
+            ConditionLhs::OsnActionKind => ctx.osn_action.map(|a| a.kind.name().to_owned()),
             ConditionLhs::OsnTopic => ctx.osn_action.and_then(|a| a.topic.clone()),
             ConditionLhs::WifiDensity
             | ConditionLhs::BluetoothDensity

@@ -43,8 +43,14 @@ impl GeoPoint {
     /// Panics in debug builds if the coordinates are outside
     /// `[-90, 90] × [-180, 180]`.
     pub fn new(lat: f64, lon: f64) -> Self {
-        debug_assert!((-90.0..=90.0).contains(&lat), "latitude out of range: {lat}");
-        debug_assert!((-180.0..=180.0).contains(&lon), "longitude out of range: {lon}");
+        debug_assert!(
+            (-90.0..=90.0).contains(&lat),
+            "latitude out of range: {lat}"
+        );
+        debug_assert!(
+            (-180.0..=180.0).contains(&lon),
+            "longitude out of range: {lon}"
+        );
         GeoPoint { lat, lon }
     }
 
@@ -54,8 +60,8 @@ impl GeoPoint {
         let phi2 = other.lat.to_radians();
         let dphi = (other.lat - self.lat).to_radians();
         let dlambda = (other.lon - self.lon).to_radians();
-        let a = (dphi / 2.0).sin().powi(2)
-            + phi1.cos() * phi2.cos() * (dlambda / 2.0).sin().powi(2);
+        let a =
+            (dphi / 2.0).sin().powi(2) + phi1.cos() * phi2.cos() * (dlambda / 2.0).sin().powi(2);
         2.0 * EARTH_RADIUS_M * a.sqrt().asin()
     }
 

@@ -44,9 +44,7 @@ pub use context::{
     AccelSample, AudioEnvironment, AudioFrame, BluetoothScan, ClassifiedContext, ContextData,
     ContextSnapshot, GpsFix, PhysicalActivity, RawSample, WifiScan,
 };
-pub use error::{
-    DiagnosticCode, DiagnosticSeverity, Error, PlanDiagnostic, Result,
-};
+pub use error::{DiagnosticCode, DiagnosticSeverity, Error, PlanDiagnostic, Result};
 pub use filter::{
     Condition, ConditionLhs, EvalContext, EvalError, EvalErrorKind, Filter, Operator,
 };

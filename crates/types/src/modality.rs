@@ -161,7 +161,10 @@ mod tests {
     #[test]
     fn parse_accepts_aliases() {
         assert_eq!("gps".parse::<Modality>().unwrap(), Modality::Location);
-        assert_eq!("accel".parse::<Modality>().unwrap(), Modality::Accelerometer);
+        assert_eq!(
+            "accel".parse::<Modality>().unwrap(),
+            Modality::Accelerometer
+        );
         assert_eq!("bt".parse::<Modality>().unwrap(), Modality::Bluetooth);
         assert!("thermometer".parse::<Modality>().is_err());
     }

@@ -135,7 +135,11 @@ impl OsnAction {
 
 impl fmt::Display for OsnAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {} at {}: {:?}", self.user, self.kind, self.at, self.content)
+        write!(
+            f,
+            "{} {} at {}: {:?}",
+            self.user, self.kind, self.at, self.content
+        )
     }
 }
 
@@ -145,9 +149,13 @@ mod tests {
 
     #[test]
     fn builder_sets_fields() {
-        let a = OsnAction::post(UserId::new("alice"), "match tonight!", Timestamp::from_secs(5))
-            .with_topic("football")
-            .on_platform(OsnPlatformKind::Poll);
+        let a = OsnAction::post(
+            UserId::new("alice"),
+            "match tonight!",
+            Timestamp::from_secs(5),
+        )
+        .with_topic("football")
+        .on_platform(OsnPlatformKind::Poll);
         assert_eq!(a.kind, OsnActionKind::Post);
         assert_eq!(a.topic.as_deref(), Some("football"));
         assert_eq!(a.platform, OsnPlatformKind::Poll);
@@ -165,7 +173,10 @@ mod tests {
     #[test]
     fn kind_names_are_stable() {
         assert_eq!(OsnActionKind::Post.name(), "post");
-        assert_eq!(OsnActionKind::FriendshipChange.to_string(), "friendship_change");
+        assert_eq!(
+            OsnActionKind::FriendshipChange.to_string(),
+            "friendship_change"
+        );
     }
 
     #[test]

@@ -483,7 +483,11 @@ fn render_json(violations: &[Violation]) -> String {
             json_escape(v.why),
             json_escape(&v.text)
         );
-        out.push_str(if i + 1 < violations.len() { ",\n" } else { "\n" });
+        out.push_str(if i + 1 < violations.len() {
+            ",\n"
+        } else {
+            "\n"
+        });
     }
     let _ = write!(out, "  ],\n  \"count\": {}\n}}\n", violations.len());
     out
@@ -685,7 +689,10 @@ mod tests {
         // topic rendering) is fine.
         assert!(scan_source("crates/core/src/event.rs", &fixture, &patterns()).is_empty());
         // `String::from` has its own rule name so allow markers stay precise.
-        let from = format!("fn f(d: &DeviceId) {{ let s = {}d.as_str()); }}\n", tok(&["String::fr", "om("]));
+        let from = format!(
+            "fn f(d: &DeviceId) {{ let s = {}d.as_str()); }}\n",
+            tok(&["String::fr", "om("])
+        );
         let violations = scan_source("crates/core/src/server/manager.rs", &from, &patterns());
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].pattern, "string-from");
@@ -713,7 +720,10 @@ mod tests {
         let json = render_json(&violations);
         assert!(json.contains("\"count\": 1"));
         assert!(json.contains("\"pattern\": \"unwrap\""));
-        assert!(json.contains("quote\\\\\\\"d"), "quotes must be escaped: {json}");
+        assert!(
+            json.contains("quote\\\\\\\"d"),
+            "quotes must be escaped: {json}"
+        );
         assert!(json.ends_with("}\n"));
         // Clean runs still produce a parseable document.
         let empty = render_json(&[]);

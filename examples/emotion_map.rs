@@ -40,7 +40,12 @@ fn main() {
     for (user, home) in users {
         world.add_device(user, format!("{user}-phone"), home);
     }
-    for (a, b) in [("amelie", "bruno"), ("bruno", "claire"), ("david", "emma"), ("emma", "felix")] {
+    for (a, b) in [
+        ("amelie", "bruno"),
+        ("bruno", "claire"),
+        ("david", "emma"),
+        ("emma", "felix"),
+    ] {
         world.server.record_friendship(&a.into(), &b.into());
     }
 
@@ -63,21 +68,28 @@ fn main() {
     let sentiment = SentimentClassifier::new();
     world
         .server
-        .register_listener(StreamSelector::AllUplinks, Filter::pass_all(), move |_s, event| {
-            let Some(action) = &event.osn_action else {
-                return;
-            };
-            let place = match &event.data {
-                sensocial::ContextData::Classified(c) => c.value_string(),
-                _ => "unknown".to_owned(),
-            };
-            let mood = match sentiment.classify(&action.content) {
-                TextSentiment::Positive => "positive",
-                TextSentiment::Negative => "negative",
-                TextSentiment::Neutral => "neutral",
-            };
-            *table.borrow_mut().entry((place, mood.to_owned())).or_insert(0) += 1;
-        })
+        .register_listener(
+            StreamSelector::AllUplinks,
+            Filter::pass_all(),
+            move |_s, event| {
+                let Some(action) = &event.osn_action else {
+                    return;
+                };
+                let place = match &event.data {
+                    sensocial::ContextData::Classified(c) => c.value_string(),
+                    _ => "unknown".to_owned(),
+                };
+                let mood = match sentiment.classify(&action.content) {
+                    TextSentiment::Positive => "positive",
+                    TextSentiment::Negative => "negative",
+                    TextSentiment::Neutral => "neutral",
+                };
+                *table
+                    .borrow_mut()
+                    .entry((place, mood.to_owned()))
+                    .or_insert(0) += 1;
+            },
+        )
         .expect("pass-all subscription is always sound");
 
     section("Life happens for twelve simulated hours");

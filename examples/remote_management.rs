@@ -12,9 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use sensocial::server::StreamSelector;
-use sensocial::{
-    Condition, ConditionLhs, Filter, Granularity, Modality, Operator, StreamSpec,
-};
+use sensocial::{Condition, ConditionLhs, Filter, Granularity, Modality, Operator, StreamSpec};
 use sensocial_examples::section;
 use sensocial_runtime::SimDuration;
 use sensocial_sim::{World, WorldConfig};
@@ -23,17 +21,25 @@ use sensocial_types::{geo::cities, PhysicalActivity};
 fn main() {
     let mut world = World::new(WorldConfig::default());
     world.add_device("alice", "alice-phone", cities::paris());
-    world.device("alice-phone").unwrap().env.set_activity(PhysicalActivity::Walking);
+    world
+        .device("alice-phone")
+        .unwrap()
+        .env
+        .set_activity(PhysicalActivity::Walking);
 
     let received = Rc::new(RefCell::new(0u32));
     {
         let sink = received.clone();
         world
             .server
-            .register_listener(StreamSelector::AllUplinks, Filter::pass_all(), move |s, e| {
-                *sink.borrow_mut() += 1;
-                println!("  [{}] server received {:?}", s.now(), e.data.modality());
-            })
+            .register_listener(
+                StreamSelector::AllUplinks,
+                Filter::pass_all(),
+                move |s, e| {
+                    *sink.borrow_mut() += 1;
+                    println!("  [{}] server received {:?}", s.now(), e.data.modality());
+                },
+            )
             .expect("pass-all subscription is always sound");
     }
 
@@ -71,17 +77,29 @@ fn main() {
         .unwrap();
     world.run_for(SimDuration::from_mins(2));
     println!("  (alice stops walking — the device-side filter silences the stream)");
-    world.device("alice-phone").unwrap().env.set_activity(PhysicalActivity::Still);
+    world
+        .device("alice-phone")
+        .unwrap()
+        .env
+        .set_activity(PhysicalActivity::Still);
     world.run_for(SimDuration::from_mins(2));
 
     section("Destroying the stream remotely");
-    world.server.destroy_remote_stream(&mut world.sched, stream).unwrap();
+    world
+        .server
+        .destroy_remote_stream(&mut world.sched, stream)
+        .unwrap();
     world.run_for(SimDuration::from_mins(2));
 
     section("Summary");
     println!(
         "  uplinked events: {}, streams left on the phone: {}",
         received.borrow_mut(),
-        world.device("alice-phone").unwrap().manager.stream_ids().len()
+        world
+            .device("alice-phone")
+            .unwrap()
+            .manager
+            .stream_ids()
+            .len()
     );
 }

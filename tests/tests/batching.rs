@@ -38,7 +38,11 @@ fn run_scenario(batch_delivery: bool) -> (Vec<Delivery>, sensocial::TelemetrySna
         ..WorldConfig::default()
     };
     let mut world = World::new(config);
-    world.add_device("alice", "alice-phone", sensocial_types::geo::cities::paris());
+    world.add_device(
+        "alice",
+        "alice-phone",
+        sensocial_types::geo::cities::paris(),
+    );
     world.add_device("bob", "bob-phone", sensocial_types::geo::cities::bordeaux());
 
     world
@@ -69,10 +73,13 @@ fn run_scenario(batch_delivery: bool) -> (Vec<Delivery>, sensocial::TelemetrySna
     let sink = log.clone();
     world
         .server
-        .register_listener(StreamSelector::AllUplinks, Filter::pass_all(), move |_s, e| {
-            sink.borrow_mut()
-                .push((e.user.clone(), e.stream, e.at));
-        })
+        .register_listener(
+            StreamSelector::AllUplinks,
+            Filter::pass_all(),
+            move |_s, e| {
+                sink.borrow_mut().push((e.user.clone(), e.stream, e.at));
+            },
+        )
         .unwrap();
 
     world.run_for(SimDuration::from_secs(30));

@@ -64,11 +64,10 @@ fn collocation_multicast_follows_a_moving_person() {
 
     // Follow the person with periodic refresh, then put them on a train
     // to Bordeaux.
-    let refresh = world.server.auto_refresh_multicast(
-        &mut world.sched,
-        multicast,
-        SimDuration::from_mins(2),
-    );
+    let refresh =
+        world
+            .server
+            .auto_refresh_multicast(&mut world.sched, multicast, SimDuration::from_mins(2));
     world.with_device("vip-phone", |sched, device| {
         device.start_mobility(
             sched,

@@ -58,7 +58,10 @@ fn per_app_instances_duplicate_sensing() {
     world.run_for(SimDuration::from_mins(5));
     let taken = sensors.samples_taken() - before;
     // 5 minutes at 30 s → 10 cycles, but TWO instances each sample: 20.
-    assert_eq!(taken, 20, "each app's middleware instance samples independently");
+    assert_eq!(
+        taken, 20,
+        "each app's middleware instance samples independently"
+    );
 }
 
 /// §7: "the time needed to complete successive sensor sampling cycles on
@@ -134,5 +137,9 @@ fn one_instance_shares_sensing_across_listeners() {
     for count in &counts {
         assert_eq!(*count.borrow(), 10);
     }
-    assert_eq!(sensors.samples_taken(), 10, "one sampling stream feeds all four");
+    assert_eq!(
+        sensors.samples_taken(),
+        10,
+        "one sampling stream feeds all four"
+    );
 }

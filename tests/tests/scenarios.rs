@@ -175,7 +175,10 @@ fn soak_virtual_weeks_bounded_backlog_deterministic() {
     let spec = ScenarioSpec::soak();
     let outcome = run_and_check(&spec);
     let peak = outcome.backlog_samples.iter().copied().max().unwrap_or(0);
-    assert!(peak <= 256, "probe-slice backlog peak stays bounded: {peak}");
+    assert!(
+        peak <= 256,
+        "probe-slice backlog peak stays bounded: {peak}"
+    );
     let again = spec.run().expect("second soak replay");
     assert_eq!(outcome.wire, again.wire, "soak replays agree to the byte");
 }

@@ -118,7 +118,10 @@ fn batch_ingest_amortizes_per_sample_writes() {
         .histogram("storage.ingest.batch_size")
         .map(|h| h.count)
         .unwrap_or(0);
-    assert!(appended > 30, "too few samples to judge batching: {appended}");
+    assert!(
+        appended > 30,
+        "too few samples to judge batching: {appended}"
+    );
     assert!(batches > 0, "no batches were flushed");
     assert!(
         batches * 3 <= flushed,
@@ -152,5 +155,8 @@ fn partition_pruning_only_scans_matching_windows() {
         - before.counter("storage.scan.partitions_pruned");
     assert_eq!(scanned + pruned, created, "candidates + pruned = universe");
     assert!(pruned > 0, "narrow query should prune partitions");
-    assert!(scanned < created, "narrow query must not scan every partition");
+    assert!(
+        scanned < created,
+        "narrow query must not scan every partition"
+    );
 }
