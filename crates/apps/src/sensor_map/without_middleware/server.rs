@@ -171,8 +171,8 @@ impl RawSensorMapServer {
             for (device, command) in commands {
                 broker.publish(
                     s,
-                    &trigger_topic(&device),
-                    &command.encode(),
+                    trigger_topic(&device),
+                    command.encode(),
                     QoS::AtLeastOnce,
                     false,
                 );

@@ -11,7 +11,7 @@ use sensocial_osn::{PollPlugin, PushPlugin, SocialGraph};
 use sensocial_runtime::json;
 use sensocial_runtime::{Scheduler, SimDuration, SimRng, Timestamp};
 use sensocial_storage::StorageEngine;
-use sensocial_store::{Database, Query};
+use sensocial_store::Database;
 use sensocial_telemetry::{Registry, Stage};
 use sensocial_types::{
     ContextData, ContextSnapshot, DeviceId, Error, GeoPoint, OsnAction, OsnActionKind, RawSample,
@@ -121,6 +121,12 @@ struct Inner {
     devices: HashMap<DeviceId, UserId>,
     user_devices: HashMap<UserId, Vec<DeviceId>>,
     contexts: HashMap<UserId, ContextSnapshot>,
+    /// Each user's latest position, from a GPS uplink or a seed, in the
+    /// order users were first placed. Geo selectors return members in this
+    /// order, so it decides which remote stream id each joiner gets.
+    positions: Vec<(UserId, GeoPoint)>,
+    /// Each placed user's slot in `positions`. Never iterated.
+    position_slots: BTreeMap<UserId, usize>,
     graph: SocialGraph,
     remote_streams: HashMap<StreamId, (DeviceId, StreamSpec)>,
     subscriptions: Vec<Subscription>,
@@ -147,6 +153,20 @@ struct Inner {
     /// Whether OSN text mining (topic extraction + sentiment) runs on
     /// incoming actions — the paper's §9 future work, implemented.
     text_mining: bool,
+}
+
+impl Inner {
+    /// Overwrites `user`'s slot in the position table, or appends one the
+    /// first time the user is placed.
+    fn place(&mut self, user: &UserId, position: GeoPoint) {
+        if let Some(&slot) = self.position_slots.get(user) {
+            self.positions[slot].1 = position;
+        } else {
+            self.position_slots
+                .insert(user.clone(), self.positions.len());
+            self.positions.push((user.clone(), position));
+        }
+    }
 }
 
 /// The server-side entry point: user/device registry, trigger manager,
@@ -179,18 +199,13 @@ impl ServerManager {
     /// Creates a server manager. Call [`ServerManager::connect`] before
     /// expecting uplink data.
     pub fn new(deps: ServerDeps) -> Self {
-        // Indices backing the geo and registration queries (document
-        // plane — the same collections under every storage backend).
-        deps.storage.collection("locations").create_geo_index("loc");
-        deps.storage.collection("locations").create_index("user");
-        deps.storage.collection("users").create_index("user");
-        deps.storage.collection("osn_links").create_index("a");
-        deps.storage.collection("osn_links").create_index("b");
         ServerManager {
             inner: Rc::new(RefCell::new(Inner {
                 devices: HashMap::new(),
                 user_devices: HashMap::new(),
                 contexts: HashMap::new(),
+                positions: Vec::new(),
+                position_slots: BTreeMap::new(),
                 graph: SocialGraph::new(),
                 remote_streams: HashMap::new(),
                 subscriptions: Vec::new(),
@@ -321,8 +336,9 @@ impl ServerManager {
         &self.storage
     }
 
-    /// The document plane of the storage engine (registries and
-    /// application collections) — the Mongo-substitute view.
+    /// The document plane of the storage engine (OSN actions and
+    /// application collections) — the Mongo-substitute view. The
+    /// registries live in typed tables, not here.
     pub fn db(&self) -> &Database {
         self.storage.docs()
     }
@@ -334,7 +350,7 @@ impl ServerManager {
 
     /// The server's latest context snapshot for `user`.
     pub fn user_context(&self, user: &UserId) -> Option<ContextSnapshot> {
-        self.inner.borrow_mut().contexts.get(user).cloned()
+        self.inner.borrow().contexts.get(user).cloned()
     }
 
     // ------------------------------------------------------------------
@@ -345,24 +361,18 @@ impl ServerManager {
     /// Idempotent: re-announcements (devices register on every broker
     /// connect) do not duplicate registry entries.
     pub fn register_device(&self, user: UserId, device: DeviceId) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.devices.contains_key(&device) {
-                return;
-            }
-            inner.devices.insert(device.clone(), user.clone());
-            inner
-                .user_devices
-                .entry(user.clone())
-                .or_default()
-                .push(device.clone());
-            inner.graph.add_user(user.clone());
-            inner.contexts.entry(user.clone()).or_default();
+        let mut inner = self.inner.borrow_mut();
+        if inner.devices.contains_key(&device) {
+            return;
         }
-        let _ = self.storage.collection("users").insert(json!({
-            "user": user.as_str(),
-            "device": device.as_str(),
-        }));
+        inner.devices.insert(device.clone(), user.clone());
+        inner
+            .user_devices
+            .entry(user.clone())
+            .or_default()
+            .push(device);
+        inner.graph.add_user(user.clone());
+        inner.contexts.entry(user).or_default();
     }
 
     /// Whether `device` is registered.
@@ -373,7 +383,7 @@ impl ServerManager {
     /// The devices registered for `user`.
     pub fn devices_of(&self, user: &UserId) -> Vec<DeviceId> {
         self.inner
-            .borrow_mut()
+            .borrow()
             .user_devices
             .get(user)
             .cloned()
@@ -383,29 +393,13 @@ impl ServerManager {
     /// Records a friendship the server already knows about (bootstrap);
     /// later changes arrive as OSN `FriendshipChange` actions.
     pub fn record_friendship(&self, a: &UserId, b: &UserId) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.graph.add_friendship(a, b);
-        }
-        let _ = self.storage.collection("osn_links").insert(json!({
-            "a": a.as_str(),
-            "b": b.as_str(),
-        }));
+        self.inner.borrow_mut().graph.add_friendship(a, b);
     }
 
     /// Seeds the server's knowledge of a user's position (normally learnt
     /// from uplinked location streams).
     pub fn seed_location(&self, user: &UserId, position: GeoPoint) {
-        self.upsert_location(user, position);
-    }
-
-    fn upsert_location(&self, user: &UserId, position: GeoPoint) {
-        let locations = self.storage.collection("locations");
-        let query = Query::eq("user", user.as_str());
-        let loc = json!({"lat": position.lat, "lon": position.lon});
-        if locations.update_set(&query, &[("loc", loc.clone())]) == 0 {
-            let _ = locations.insert(json!({"user": user.as_str(), "loc": loc}));
-        }
+        self.inner.borrow_mut().place(user, position);
     }
 
     // ------------------------------------------------------------------
@@ -863,7 +857,7 @@ impl ServerManager {
     /// Member users of a multicast stream.
     pub fn multicast_members(&self, id: MulticastId) -> Vec<UserId> {
         self.inner
-            .borrow_mut()
+            .borrow()
             .multicasts
             .get(&id)
             .map(|(m, _)| m.member_users())
@@ -1237,49 +1231,49 @@ impl ServerManager {
         plans
     }
 
-    /// Reads a user's last stored position from the locations collection.
+    /// A user's latest position in the position table.
     fn stored_location(&self, user: &UserId) -> Option<GeoPoint> {
-        let doc = self
-            .db()
-            .collection("locations")
-            .find_one(&Query::eq("user", user.as_str()))?;
-        let lat = doc.body["loc"]["lat"].as_f64()?;
-        let lon = doc.body["loc"]["lon"].as_f64()?;
-        Some(GeoPoint::new(lat, lon))
+        let inner = self.inner.borrow();
+        let slot = *inner.position_slots.get(user)?;
+        Some(inner.positions[slot].1)
+    }
+
+    /// The placed users whose position passes `keep`, in table order.
+    /// Points off the globe — latitude outside [-90, 90], longitude outside
+    /// [-180, 180], NaN or infinite — never pass, as in the document
+    /// store's geo queries.
+    fn placed_users(&self, keep: impl Fn(GeoPoint) -> bool) -> Vec<UserId> {
+        self.inner
+            .borrow()
+            .positions
+            .iter()
+            .filter(|(_, p)| {
+                (-90.0..=90.0).contains(&p.lat) && (-180.0..=180.0).contains(&p.lon) && keep(*p)
+            })
+            .map(|(user, _)| user.clone())
+            .collect()
     }
 
     fn resolve_selector(&self, selector: &MulticastSelector) -> Vec<UserId> {
         match selector {
-            MulticastSelector::FriendsOf(user) => self.inner.borrow_mut().graph.friends(user),
-            MulticastSelector::WithinFence(fence) => {
-                let docs = self
-                    .db()
-                    .collection("locations")
-                    .find(&Query::within("loc", *fence));
-                docs.iter()
-                    .filter_map(|d| d.body["user"].as_str().map(UserId::new))
-                    .collect()
-            }
+            MulticastSelector::FriendsOf(user) => self.inner.borrow().graph.friends(user),
+            MulticastSelector::WithinFence(fence) => self.placed_users(|p| fence.contains(p)),
             MulticastSelector::NearUser { user, radius_m } => {
                 // The followed person's own position anchors the fence.
-                let Some(center) = self
+                // Read the live context in its own statement, so no borrow
+                // of `inner` is held while `stored_location` takes one.
+                let live = self
                     .inner
-                    .borrow_mut()
+                    .borrow()
                     .contexts
                     .get(user)
-                    .and_then(|c| c.position())
-                    .or_else(|| self.stored_location(user))
-                else {
+                    .and_then(ContextSnapshot::position);
+                let Some(center) = live.or_else(|| self.stored_location(user)) else {
                     return Vec::new();
                 };
-                let docs = self
-                    .db()
-                    .collection("locations")
-                    .find(&Query::near("loc", center, *radius_m));
-                docs.iter()
-                    .filter_map(|d| d.body["user"].as_str().map(UserId::new))
-                    .filter(|u| u != user)
-                    .collect()
+                let mut near = self.placed_users(|p| center.distance_m(p) <= *radius_m);
+                near.retain(|u| u != user);
+                near
             }
             MulticastSelector::Intersection(a, b) => {
                 let sa = self.resolve_selector(a);
@@ -1313,14 +1307,14 @@ impl ServerManager {
             sched.now().as_millis().saturating_sub(event.at.as_millis()),
         );
 
-        // Keep the context table and location collection fresh.
+        // Keep the context and position tables fresh.
         {
             let mut inner = self.inner.borrow_mut();
             let snapshot = inner.contexts.entry(event.user.clone()).or_default();
             snapshot.record(event.at, event.data.clone());
-        }
-        if let ContextData::Raw(RawSample::Location(fix)) = &event.data {
-            self.upsert_location(&event.user, fix.position);
+            if let ContextData::Raw(RawSample::Location(fix)) = &event.data {
+                inner.place(&event.user, fix.position);
+            }
         }
 
         // Persist the sample through the storage engine's batch buffer:
@@ -1349,9 +1343,10 @@ impl ServerManager {
         {
             let inner = self.inner.borrow();
             let lookup = |user: &UserId| inner.contexts.get(user).cloned();
-            let own_snapshot = inner.contexts.get(&event.user).cloned().unwrap_or_default();
+            let empty = ContextSnapshot::new();
+            let own_snapshot = inner.contexts.get(&event.user).unwrap_or(&empty);
             let ctx = EvalContext {
-                snapshot: &own_snapshot,
+                snapshot: own_snapshot,
                 now: sched.now(),
                 osn_action: event.osn_action.as_ref(),
             };
@@ -1399,5 +1394,267 @@ impl ServerManager {
             );
             listener(sched, &event);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sensocial_net::Network;
+    use sensocial_runtime::prop::check;
+    use sensocial_storage::StorageConfig;
+    use sensocial_store::{Collection, Document, Query};
+    use sensocial_types::{GeoFence, GpsFix};
+
+    /// A server with no broker behind it: the tests drive `seed_location`
+    /// and `on_uplink` directly.
+    fn server() -> ServerManager {
+        let net = Network::new(0);
+        ServerManager::new(ServerDeps::new(
+            StorageConfig::document().open(),
+            BrokerClient::new(&net, "server-ep", "broker", "server"),
+            SimRng::seed_from(0),
+        ))
+    }
+
+    /// The document mirror the position table replaced, kept as the
+    /// oracle: a `locations` collection with a geo index on `loc` and an
+    /// index on `user`, upserted by update-else-insert.
+    struct Mirror {
+        locations: Collection,
+        /// Each user's last uplinked fix: the live context position.
+        fixes: BTreeMap<UserId, GeoPoint>,
+    }
+
+    /// A query's users in document-id order, twice: by the store's exact
+    /// predicate over every document, and through the planner and its
+    /// grid index, as the mirror was queried.
+    struct Answer {
+        exact: Vec<UserId>,
+        indexed: Vec<UserId>,
+    }
+
+    impl Mirror {
+        fn new() -> Self {
+            let locations = Collection::new("locations");
+            locations.create_geo_index("loc");
+            locations.create_index("user");
+            Mirror {
+                locations,
+                fixes: BTreeMap::new(),
+            }
+        }
+
+        fn upsert(&self, user: &UserId, position: GeoPoint) {
+            let query = Query::eq("user", user.as_str());
+            let loc = json!({"lat": position.lat, "lon": position.lon});
+            if self.locations.update_set(&query, &[("loc", loc.clone())]) == 0 {
+                self.locations
+                    .insert(json!({"user": user.as_str(), "loc": loc}))
+                    .unwrap();
+            }
+        }
+
+        fn uplink(&mut self, payload: &str) {
+            if let Ok(event) = StreamEvent::from_wire(payload) {
+                if let ContextData::Raw(RawSample::Location(fix)) = event.data {
+                    self.fixes.insert(event.user.clone(), fix.position);
+                    self.upsert(&event.user, fix.position);
+                }
+            }
+        }
+
+        fn answer(&self, query: &Query, except: Option<&UserId>) -> Answer {
+            let users = |docs: Vec<Document>| -> Vec<UserId> {
+                docs.iter()
+                    .filter_map(|d| d.body["user"].as_str().map(UserId::new))
+                    .filter(|u| Some(u) != except)
+                    .collect()
+            };
+            let mut all = self.locations.find(&Query::All);
+            all.retain(|d| query.matches(d));
+            Answer {
+                exact: users(all),
+                indexed: users(self.locations.find(query)),
+            }
+        }
+
+        fn within(&self, fence: GeoFence) -> Answer {
+            self.answer(&Query::within("loc", fence), None)
+        }
+
+        /// The followed user's position: the live fix, else the stored one.
+        fn center(&self, user: &UserId) -> Option<GeoPoint> {
+            if let Some(fix) = self.fixes.get(user) {
+                return Some(*fix);
+            }
+            let doc = self.locations.find_one(&Query::eq("user", user.as_str()))?;
+            let lat = doc.body["loc"]["lat"].as_f64()?;
+            let lon = doc.body["loc"]["lon"].as_f64()?;
+            Some(GeoPoint { lat, lon })
+        }
+
+        fn near(&self, user: &UserId, radius_m: f64) -> Answer {
+            match self.center(user) {
+                Some(center) => self.answer(&Query::near("loc", center, radius_m), Some(user)),
+                None => Answer {
+                    exact: Vec::new(),
+                    indexed: Vec::new(),
+                },
+            }
+        }
+    }
+
+    /// The selector returns the store's exact answer, in the same order,
+    /// and so keeps every user the indexed query returned, in order. The
+    /// indexed query may miss a user: see
+    /// `a_fence_finds_a_point_the_grid_index_missed`.
+    fn assert_agrees(selected: &[UserId], answer: &Answer, what: &str) {
+        assert_eq!(selected, answer.exact, "{what}");
+        let mut rest = selected.iter();
+        assert!(
+            answer.indexed.iter().all(|u| rest.any(|s| s == u)),
+            "{what}: indexed answer {:?} is not a subsequence of {selected:?}",
+            answer.indexed
+        );
+    }
+
+    /// A point the store's geo queries never match.
+    fn off_globe(rng: &mut SimRng) -> GeoPoint {
+        let (lat, lon) = *rng
+            .choose(&[
+                (90.5, 0.0),
+                (-91.0, 10.0),
+                (45.0, 180.5),
+                (-10.0, -200.0),
+                (f64::NAN, 2.0),
+                (48.0, f64::INFINITY),
+                (f64::NEG_INFINITY, f64::NAN),
+            ])
+            .unwrap();
+        GeoPoint { lat, lon }
+    }
+
+    /// `r` or the next float below it: a point at distance `r` sits on the
+    /// boundary of a fence of radius `r` and just outside one a step less.
+    fn boundary_radius(rng: &mut SimRng, r: f64) -> f64 {
+        if r > 0.0 && rng.chance(0.5) {
+            f64::from_bits(r.to_bits() - 1)
+        } else {
+            r
+        }
+    }
+
+    #[test]
+    fn geo_selectors_match_the_document_queries_in_order() {
+        check(256, |rng| {
+            let server = server();
+            let mut mirror = Mirror::new();
+            let mut sched = Scheduler::new();
+
+            let anchor = GeoPoint::new(rng.uniform(-85.0, 85.0), rng.uniform(-179.9, 179.9));
+            let scale_m = rng.uniform(50.0, 20_000.0);
+            let users: Vec<UserId> = (0..rng.uniform_u64(1, 41))
+                .map(|i| UserId::new(format!("u{i}")))
+                .collect();
+            let mut placed: Vec<GeoPoint> = Vec::new();
+            for at in 0..rng.uniform_u64(1, 81) {
+                let user = rng.choose(&users).unwrap().clone();
+                let roll = rng.uniform(0.0, 1.0);
+                let position = if roll < 0.1 {
+                    anchor
+                } else if roll < 0.2 {
+                    off_globe(rng)
+                } else if roll < 0.35 && !placed.is_empty() {
+                    *rng.choose(&placed).unwrap()
+                } else {
+                    anchor.offset(rng.uniform(0.0, 2.0 * scale_m), rng.uniform(0.0, 360.0))
+                };
+                placed.push(position);
+                if rng.chance(0.5) {
+                    server.seed_location(&user, position);
+                    mirror.upsert(&user, position);
+                } else {
+                    let device = DeviceId::new(format!("{}-phone", user.as_str()));
+                    let event = StreamEvent {
+                        stream: StreamId::new(at),
+                        user,
+                        device: device.clone(),
+                        at: Timestamp::from_secs(at),
+                        data: ContextData::Raw(RawSample::Location(GpsFix {
+                            position,
+                            accuracy_m: 5.0,
+                            speed_mps: 0.0,
+                        })),
+                        osn_action: None,
+                    };
+                    let payload = event.to_wire();
+                    server.on_uplink(&mut sched, &Topic::Uplink(device).to_string(), &payload);
+                    mirror.uplink(&payload);
+                }
+            }
+
+            let on_globe: Vec<GeoPoint> = placed
+                .iter()
+                .copied()
+                .filter(|p| (-90.0..=90.0).contains(&p.lat) && (-180.0..=180.0).contains(&p.lon))
+                .collect();
+            for _ in 0..8 {
+                let center = match rng.choose(&on_globe) {
+                    Some(p) if rng.chance(0.5) => *p,
+                    _ => anchor,
+                };
+                let radius_m = match rng.choose(&on_globe) {
+                    Some(p) if rng.chance(0.5) => boundary_radius(rng, center.distance_m(*p)),
+                    _ => rng.uniform(0.0, 2.0 * scale_m),
+                };
+                let fence = GeoFence::new(center, radius_m);
+                assert_agrees(
+                    &server.resolve_selector(&MulticastSelector::WithinFence(fence)),
+                    &mirror.within(fence),
+                    &format!("within {fence}"),
+                );
+
+                let user = rng.choose(&users).unwrap().clone();
+                let radius_m = match (mirror.center(&user), rng.choose(&on_globe)) {
+                    (Some(c), Some(p)) if rng.chance(0.5) => boundary_radius(rng, c.distance_m(*p)),
+                    _ => rng.uniform(0.0, 2.0 * scale_m),
+                };
+                assert_agrees(
+                    &server.resolve_selector(&MulticastSelector::NearUser {
+                        user: user.clone(),
+                        radius_m,
+                    }),
+                    &mirror.near(&user, radius_m),
+                    &format!("near {user} within {radius_m} m"),
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn a_fence_finds_a_point_the_grid_index_missed() {
+        // The store's grid index sizes its search box at 111 320 m per
+        // degree of latitude; the haversine's is 111 195. A point just
+        // inside a fence's northern edge can lie in a grid cell past the
+        // box, where the indexed query never looks. The table scans every
+        // point, so the selector keeps it.
+        let fence = GeoFence::new(GeoPoint::new(0.9101, 20.0), 10_000.0);
+        let north = GeoPoint::new(1.00002, 20.0);
+        assert!(fence.contains(north));
+
+        let server = server();
+        let mirror = Mirror::new();
+        let user = UserId::new("north");
+        server.seed_location(&user, north);
+        mirror.upsert(&user, north);
+
+        let answer = mirror.within(fence);
+        assert!(answer.indexed.is_empty());
+        assert_eq!(answer.exact, vec![user.clone()]);
+        assert_eq!(
+            server.resolve_selector(&MulticastSelector::WithinFence(fence)),
+            vec![user]
+        );
     }
 }

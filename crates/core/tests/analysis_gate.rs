@@ -273,7 +273,7 @@ fn rogue_config_push_is_nacked_back_to_the_server() {
     rogue.publish(
         &mut d.sched,
         Topic::Config(device.clone()),
-        &command.to_wire(),
+        command.to_wire(),
         QoS::AtLeastOnce,
         false,
     );

@@ -542,18 +542,22 @@ fn uplink_updates_server_context_and_location_table() {
     let pos = ctx.position().expect("server learned alice's position");
     assert!(pos.distance_m(cities::paris()) < 100.0);
 
-    // The locations collection is queryable geospatially.
-    let nearby = d
+    // The uplinked fix places alice in the position table, which geo
+    // multicasts select from.
+    let template = StreamSpec::continuous(Modality::Location, Granularity::Raw)
+        .with_interval(SimDuration::from_secs(30));
+    let multicast = d
         .server
-        .db()
-        .collection("locations")
-        .find(&sensocial_store::Query::near(
-            "loc",
-            cities::paris(),
-            1_000.0,
-        ));
-    assert_eq!(nearby.len(), 1);
-    assert_eq!(nearby[0].body["user"], "alice");
+        .create_multicast(
+            &mut d.sched,
+            MulticastSelector::WithinFence(GeoFence::new(cities::paris(), 1_000.0)),
+            template,
+        )
+        .unwrap();
+    assert_eq!(
+        d.server.multicast_members(multicast),
+        vec![UserId::new("alice")]
+    );
 }
 
 #[test]

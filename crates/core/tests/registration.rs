@@ -8,7 +8,6 @@ use sensocial_net::{LatencyModel, LinkSpec, Network};
 use sensocial_runtime::{Scheduler, SimDuration, SimRng};
 use sensocial_sensors::{DeviceEnvironment, SensorManager};
 use sensocial_storage::StorageConfig;
-use sensocial_store::Query;
 use sensocial_types::geo::cities;
 use sensocial_types::{DeviceId, UserId};
 
@@ -56,14 +55,6 @@ fn devices_self_register_on_connect() {
         server.devices_of(&UserId::new("alice")),
         vec![DeviceId::new("alice-phone")]
     );
-    // The registry also landed in the document store.
-    assert_eq!(
-        server
-            .db()
-            .collection("users")
-            .count(&Query::eq("user", "alice")),
-        1
-    );
 }
 
 #[test]
@@ -76,13 +67,6 @@ fn reannouncement_does_not_duplicate() {
     server.register_device(UserId::new("alice"), DeviceId::new("alice-phone"));
     server.register_device(UserId::new("alice"), DeviceId::new("alice-phone"));
     assert_eq!(server.devices_of(&UserId::new("alice")).len(), 1);
-    assert_eq!(
-        server
-            .db()
-            .collection("users")
-            .count(&Query::eq("user", "alice")),
-        1
-    );
 }
 
 #[test]

@@ -77,7 +77,7 @@ impl GarApp {
                 );
                 broker.publish(
                     s,
-                    &format!("gar/{}", user.as_str()),
+                    format!("gar/{}", user.as_str()),
                     &payload,
                     QoS::AtMostOnce,
                     false,

@@ -215,7 +215,7 @@ fn malformed_broker_payloads_are_ignored() {
         chaos.publish(
             &mut world.sched,
             "sensocial/trigger/alice-phone",
-            &format!("garbage {i}"),
+            format!("garbage {i}"),
             QoS::AtMostOnce,
             false,
         );
