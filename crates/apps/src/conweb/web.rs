@@ -9,7 +9,7 @@ use std::rc::Rc;
 use sensocial_net::{EndpointId, Network};
 use sensocial_runtime::{json, json::Value};
 use sensocial_runtime::{Scheduler, SimDuration, Timer, TimerHandle};
-use sensocial_store::{Collection, Query};
+use sensocial_storage::{Collection, Query};
 use sensocial_types::UserId;
 
 /// Rendering contrast — the paper's example adaptation ("displaying higher

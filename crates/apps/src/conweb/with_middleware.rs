@@ -11,7 +11,7 @@ use sensocial::server::{ServerManager, StreamSelector};
 use sensocial::{Filter, Granularity, Modality, StreamId, StreamSink, StreamSpec};
 use sensocial_runtime::json;
 use sensocial_runtime::Scheduler;
-use sensocial_store::{Collection, Query};
+use sensocial_storage::{Collection, Query};
 use sensocial_types::{ContextData, UserId};
 
 /// The mobile part: three context streams plus one OSN-coupled stream,

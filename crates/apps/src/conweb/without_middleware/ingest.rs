@@ -13,7 +13,7 @@ use sensocial_broker::{BrokerClient, QoS};
 use sensocial_osn::PushPlugin;
 use sensocial_runtime::json;
 use sensocial_runtime::Scheduler;
-use sensocial_store::{Collection, Query};
+use sensocial_storage::{Collection, Query};
 use sensocial_types::{OsnActionKind, UserId};
 
 use super::protocol::{ContextUpdate, CONTEXT_WILDCARD};

@@ -17,7 +17,7 @@ use sensocial::{
 use sensocial_analysis::{analyze, AnalysisEnv, FilterPlan};
 use sensocial_runtime::json;
 use sensocial_runtime::Scheduler;
-use sensocial_store::Collection;
+use sensocial_storage::Collection;
 use sensocial_types::{ContextData, RawSample};
 
 use crate::map::{MapView, Marker};

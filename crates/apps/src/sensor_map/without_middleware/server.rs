@@ -16,7 +16,7 @@ use sensocial_net::LatencyModel;
 use sensocial_osn::PushPlugin;
 use sensocial_runtime::json;
 use sensocial_runtime::{Scheduler, SimRng, Timestamp};
-use sensocial_store::{Collection, Database, Query};
+use sensocial_storage::{Collection, Database, Query};
 use sensocial_types::{DeviceId, OsnAction, UserId};
 
 use crate::map::{MapView, Marker};

@@ -10,13 +10,11 @@
 //! [`CampaignScheduler::recover`](crate::CampaignScheduler::recover)).
 //!
 //! Records go through [`sensocial_storage::StorageEngine`]'s document
-//! plane, so the journal inherits whatever backend the deployment runs
-//! (and CI's backend matrix covers recovery on both).
+//! plane, a collection of the deployment's one document database.
 
 use sensocial_runtime::json::{self, Json, Reader, Value, Writer};
 use sensocial_runtime::{json_members, json_struct};
-use sensocial_storage::StorageEngine;
-use sensocial_store::{Collection, Query};
+use sensocial_storage::{Collection, Query, StorageEngine};
 
 /// The collection holding the journal.
 pub const JOURNAL_COLLECTION: &str = "campaign_journal";
@@ -250,7 +248,7 @@ impl Journal {
     /// Opens the journal inside `storage`, creating its index on first
     /// use.
     pub fn open(storage: &StorageEngine) -> Self {
-        let collection = storage.collection(JOURNAL_COLLECTION);
+        let collection = storage.docs().collection(JOURNAL_COLLECTION);
         collection.create_index("seq");
         Journal { collection }
     }

@@ -10,8 +10,7 @@ use sensocial_net::LatencyModel;
 use sensocial_osn::{PollPlugin, PushPlugin, SocialGraph};
 use sensocial_runtime::json;
 use sensocial_runtime::{Scheduler, SimDuration, SimRng, Timestamp};
-use sensocial_storage::StorageEngine;
-use sensocial_store::Database;
+use sensocial_storage::{Database, StorageEngine};
 use sensocial_telemetry::{Registry, Stage};
 use sensocial_types::{
     ContextData, ContextSnapshot, DeviceId, Error, GeoPoint, OsnAction, OsnActionKind, RawSample,
@@ -466,7 +465,7 @@ impl ServerManager {
             let mut rng = inner.rng.split("processing");
             inner.processing_delay.sample(&mut rng)
         };
-        let _ = self.storage.collection("actions").insert(json!({
+        let _ = self.storage.docs().collection("actions").insert(json!({
             "user": action.user.as_str(),
             "kind": action.kind.name(),
             "content": action.content,
@@ -1402,8 +1401,7 @@ mod tests {
     use super::*;
     use sensocial_net::Network;
     use sensocial_runtime::prop::check;
-    use sensocial_storage::StorageConfig;
-    use sensocial_store::{Collection, Document, Query};
+    use sensocial_storage::{Collection, Query, StorageConfig};
     use sensocial_types::{GeoFence, GpsFix};
 
     /// A server with no broker behind it: the tests drive `seed_location`
@@ -1418,26 +1416,17 @@ mod tests {
     }
 
     /// The document mirror the position table replaced, kept as the
-    /// oracle: a `locations` collection with a geo index on `loc` and an
-    /// index on `user`, upserted by update-else-insert.
+    /// oracle: a `locations` collection with an index on `user`, upserted
+    /// by update-else-insert.
     struct Mirror {
         locations: Collection,
         /// Each user's last uplinked fix: the live context position.
         fixes: BTreeMap<UserId, GeoPoint>,
     }
 
-    /// A query's users in document-id order, twice: by the store's exact
-    /// predicate over every document, and through the planner and its
-    /// grid index, as the mirror was queried.
-    struct Answer {
-        exact: Vec<UserId>,
-        indexed: Vec<UserId>,
-    }
-
     impl Mirror {
         fn new() -> Self {
             let locations = Collection::new("locations");
-            locations.create_geo_index("loc");
             locations.create_index("user");
             Mirror {
                 locations,
@@ -1464,22 +1453,19 @@ mod tests {
             }
         }
 
-        fn answer(&self, query: &Query, except: Option<&UserId>) -> Answer {
-            let users = |docs: Vec<Document>| -> Vec<UserId> {
-                docs.iter()
-                    .filter_map(|d| d.body["user"].as_str().map(UserId::new))
-                    .filter(|u| Some(u) != except)
-                    .collect()
-            };
-            let mut all = self.locations.find(&Query::All);
-            all.retain(|d| query.matches(d));
-            Answer {
-                exact: users(all),
-                indexed: users(self.locations.find(query)),
-            }
+        /// A geo query's users in document-id order. No index plans a
+        /// geo query, so the collection checks its exact predicate on
+        /// every document.
+        fn answer(&self, query: &Query, except: Option<&UserId>) -> Vec<UserId> {
+            self.locations
+                .find(query)
+                .iter()
+                .filter_map(|d| d.body["user"].as_str().map(UserId::new))
+                .filter(|u| Some(u) != except)
+                .collect()
         }
 
-        fn within(&self, fence: GeoFence) -> Answer {
+        fn within(&self, fence: GeoFence) -> Vec<UserId> {
             self.answer(&Query::within("loc", fence), None)
         }
 
@@ -1494,32 +1480,15 @@ mod tests {
             Some(GeoPoint { lat, lon })
         }
 
-        fn near(&self, user: &UserId, radius_m: f64) -> Answer {
+        fn near(&self, user: &UserId, radius_m: f64) -> Vec<UserId> {
             match self.center(user) {
                 Some(center) => self.answer(&Query::near("loc", center, radius_m), Some(user)),
-                None => Answer {
-                    exact: Vec::new(),
-                    indexed: Vec::new(),
-                },
+                None => Vec::new(),
             }
         }
     }
 
-    /// The selector returns the store's exact answer, in the same order,
-    /// and so keeps every user the indexed query returned, in order. The
-    /// indexed query may miss a user: see
-    /// `a_fence_finds_a_point_the_grid_index_missed`.
-    fn assert_agrees(selected: &[UserId], answer: &Answer, what: &str) {
-        assert_eq!(selected, answer.exact, "{what}");
-        let mut rest = selected.iter();
-        assert!(
-            answer.indexed.iter().all(|u| rest.any(|s| s == u)),
-            "{what}: indexed answer {:?} is not a subsequence of {selected:?}",
-            answer.indexed
-        );
-    }
-
-    /// A point the store's geo queries never match.
+    /// A point the document queries never match.
     fn off_globe(rng: &mut SimRng) -> GeoPoint {
         let (lat, lon) = *rng
             .choose(&[
@@ -1609,10 +1578,10 @@ mod tests {
                     _ => rng.uniform(0.0, 2.0 * scale_m),
                 };
                 let fence = GeoFence::new(center, radius_m);
-                assert_agrees(
-                    &server.resolve_selector(&MulticastSelector::WithinFence(fence)),
-                    &mirror.within(fence),
-                    &format!("within {fence}"),
+                assert_eq!(
+                    server.resolve_selector(&MulticastSelector::WithinFence(fence)),
+                    mirror.within(fence),
+                    "within {fence}"
                 );
 
                 let user = rng.choose(&users).unwrap().clone();
@@ -1620,13 +1589,13 @@ mod tests {
                     (Some(c), Some(p)) if rng.chance(0.5) => boundary_radius(rng, c.distance_m(*p)),
                     _ => rng.uniform(0.0, 2.0 * scale_m),
                 };
-                assert_agrees(
-                    &server.resolve_selector(&MulticastSelector::NearUser {
+                assert_eq!(
+                    server.resolve_selector(&MulticastSelector::NearUser {
                         user: user.clone(),
                         radius_m,
                     }),
-                    &mirror.near(&user, radius_m),
-                    &format!("near {user} within {radius_m} m"),
+                    mirror.near(&user, radius_m),
+                    "near {user} within {radius_m} m"
                 );
             }
         });
@@ -1634,11 +1603,10 @@ mod tests {
 
     #[test]
     fn a_fence_finds_a_point_the_grid_index_missed() {
-        // The store's grid index sizes its search box at 111 320 m per
-        // degree of latitude; the haversine's is 111 195. A point just
-        // inside a fence's northern edge can lie in a grid cell past the
-        // box, where the indexed query never looks. The table scans every
-        // point, so the selector keeps it.
+        // A grid index that sized its search box at 111 320 m per degree
+        // of latitude, where the haversine's is 111 195, missed a point
+        // just inside a fence's northern edge: it lay in a grid cell past
+        // the box. The table scans every point, so the selector keeps it.
         let fence = GeoFence::new(GeoPoint::new(0.9101, 20.0), 10_000.0);
         let north = GeoPoint::new(1.00002, 20.0);
         assert!(fence.contains(north));
@@ -1649,9 +1617,7 @@ mod tests {
         server.seed_location(&user, north);
         mirror.upsert(&user, north);
 
-        let answer = mirror.within(fence);
-        assert!(answer.indexed.is_empty());
-        assert_eq!(answer.exact, vec![user.clone()]);
+        assert_eq!(mirror.within(fence), vec![user.clone()]);
         assert_eq!(
             server.resolve_selector(&MulticastSelector::WithinFence(fence)),
             vec![user]

@@ -15,8 +15,7 @@ use sensocial_net::{LatencyModel, LinkSpec, Network};
 use sensocial_osn::{OsnPlatform, PushPlugin};
 use sensocial_runtime::{Scheduler, SimDuration, SimRng};
 use sensocial_sensors::{DeviceEnvironment, SensorManager};
-use sensocial_storage::StorageConfig;
-use sensocial_store::Query;
+use sensocial_storage::{Query, StorageConfig};
 use sensocial_types::geo::cities;
 use sensocial_types::{DeviceId, PhysicalActivity, UserId};
 

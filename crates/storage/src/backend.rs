@@ -1,23 +1,20 @@
 //! The `Storage` backend contract.
 //!
-//! A backend owns two data planes:
+//! A backend owns the append-only sensor-sample log: it ingests records in
+//! per-partition batches and scans them with pushed-down predicates. The
+//! document plane (the server's OSN actions and application collections)
+//! is not a backend's concern; the engine owns the one [`Database`].
 //!
-//! * a **document plane** — the Mongo-style [`Database`] holding the
-//!   server's registries and application collections (users, locations,
-//!   actions, OSN links, app output). Every backend embeds one; the engine
-//!   exposes it unchanged so existing document-store callers keep working;
-//! * a **sample plane** — the append-only sensor-sample log, ingested in
-//!   per-partition batches and scanned with pushed-down predicates.
-//!
-//! Backends differ only in how the sample plane is laid out. The engine
+//! Backends differ only in how the sample log is laid out. The engine
 //! (not the backend) assigns sequence numbers, plans partitions, prunes
 //! candidates and records telemetry, which is what makes same-seed runs
 //! produce byte-identical snapshots regardless of the backend in use.
+//!
+//! [`Database`]: crate::Database
 
 use std::fmt;
 use std::str::FromStr;
 
-use sensocial_store::Database;
 use sensocial_types::Error;
 
 use crate::sample::{PartitionKey, SampleQuery, SampleRecord};
@@ -25,8 +22,8 @@ use crate::sample::{PartitionKey, SampleQuery, SampleRecord};
 /// The storage backends shipped with the middleware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
-    /// Samples live as documents in a `samples` collection of the
-    /// document store, with field and geo indexes (the PR-5 layout).
+    /// Samples live as documents in a `samples` collection, with field
+    /// indexes on user, modality and time.
     #[default]
     Document,
     /// Samples live in append-only column chunks partitioned by
@@ -81,13 +78,10 @@ pub struct StorageFootprint {
     pub payload_bytes: u64,
 }
 
-/// A pluggable storage backend: the document plane plus the sample log.
+/// A pluggable storage backend: the sample log.
 pub trait StorageBackend {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
-
-    /// The document plane (registries and application collections).
-    fn docs(&self) -> &Database;
 
     /// Appends one batch of records belonging to a single partition.
     ///

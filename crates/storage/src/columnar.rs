@@ -14,7 +14,6 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use sensocial_runtime::Timestamp;
-use sensocial_store::Database;
 use sensocial_types::{DeviceId, GeoPoint, Granularity, Modality, StreamId};
 
 use crate::backend::{BackendKind, StorageBackend, StorageFootprint};
@@ -103,22 +102,12 @@ impl Columns {
 }
 
 /// Samples in append-only column chunks, one per (user, time window).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ColumnarBackend {
-    db: Database,
     columns: RefCell<Columns>,
 }
 
 impl ColumnarBackend {
-    /// Creates the backend around a fresh document database (for the
-    /// document plane) and an empty chunk map.
-    pub(crate) fn create(db_name: &str) -> ColumnarBackend {
-        ColumnarBackend {
-            db: Database::new(db_name), // lint:allow(database-new)
-            columns: RefCell::new(Columns::default()),
-        }
-    }
-
     /// Scans one chunk, appending matching rows to `out`. Cheap
     /// fixed-width columns are tested first; rows are materialised only
     /// after every columnar predicate passes.
@@ -204,10 +193,6 @@ impl ColumnarBackend {
 impl StorageBackend for ColumnarBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Columnar
-    }
-
-    fn docs(&self) -> &Database {
-        &self.db
     }
 
     fn ingest(&self, partition: &PartitionKey, records: &[SampleRecord]) {

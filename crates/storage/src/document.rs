@@ -1,43 +1,86 @@
-//! The document backend: samples as rows of a `samples` collection.
+//! Documents, and the document backend that stores samples as them.
 //!
-//! This is the PR-5 persistence layout, refactored behind the
-//! [`StorageBackend`] trait: every sample becomes one document in the
-//! embedded document store, with field indexes on the user, modality and
-//! timestamp columns and a geo index on the position column. Predicate
-//! pushdown happens through the store's own query planner — the engine's
-//! partition candidates are folded into an indexed time-range clause.
+//! A [`Document`] is one JSON object in a [`Collection`], under the id the
+//! collection assigned at insert. The document backend keeps every sample
+//! as one document of its own `samples` collection, with field indexes on
+//! the user, modality and timestamp columns. Predicate pushdown happens
+//! through the collection's query planner.
+//!
+//! [`Collection`]: crate::Collection
 
-use sensocial_store::{CmpOp, Database, Query};
+use std::fmt;
+
+use sensocial_runtime::json::Value;
 
 use crate::backend::{BackendKind, StorageBackend, StorageFootprint};
+use crate::collection::Collection;
+use crate::query::{CmpOp, Query};
 use crate::sample::{PartitionKey, SampleQuery, SampleRecord};
 
-/// Collection holding the sample log.
-const SAMPLES: &str = "samples";
+/// Identifies a document within its collection, assigned at insert.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DocumentId(pub(crate) u64);
 
-/// Samples stored as indexed documents in the Mongo-style store.
+impl DocumentId {
+    /// The numeric value.
+    pub const fn value(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Display for DocumentId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "doc#{}", self.0)
+    }
+}
+
+/// A stored document: an id plus a JSON object body.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Document {
+    /// The document's id within its collection.
+    pub id: DocumentId,
+    /// The JSON object body.
+    pub body: Value,
+}
+
+impl Document {
+    /// Reads a (possibly dotted) field path from the body, e.g.
+    /// `"profile.city"`. Returns `None` when any path component is missing
+    /// or a non-object is traversed.
+    pub fn field(&self, path: &str) -> Option<&Value> {
+        lookup_path(&self.body, path)
+    }
+}
+
+/// Resolves a dotted path inside a JSON value.
+pub(crate) fn lookup_path<'v>(value: &'v Value, path: &str) -> Option<&'v Value> {
+    let mut current = value;
+    for part in path.split('.') {
+        current = current.as_object()?.get(part)?;
+    }
+    Some(current)
+}
+
+/// Samples stored as indexed documents of one collection.
 #[derive(Debug)]
 pub struct DocumentBackend {
-    db: Database,
+    samples: Collection,
 }
 
 impl DocumentBackend {
-    /// Creates the backend around a fresh document database.
-    ///
-    /// The backing store is private to the factory; constructing it
-    /// directly would bypass the `Storage` trait.
-    pub(crate) fn create(db_name: &str) -> DocumentBackend {
-        let db = Database::new(db_name); // lint:allow(database-new)
-        let samples = db.collection(SAMPLES);
+    /// Creates the backend around an empty, indexed `samples` collection.
+    pub(crate) fn create() -> DocumentBackend {
+        let samples = Collection::new("samples");
         samples.create_index("user");
         samples.create_index("modality");
         samples.create_index("at");
-        samples.create_geo_index("position");
-        DocumentBackend { db }
+        DocumentBackend { samples }
     }
 
-    /// Translates a sample query into the store's query language so the
-    /// collection's planner can use its field and geo indexes.
+    /// Translates a sample query into the collection's query language so
+    /// its planner can use the field indexes. The fence clause narrows
+    /// nothing in the planner; it drops rows outside the fence before
+    /// [`SampleRecord::from_document`] parses them.
     fn pushdown(query: &SampleQuery) -> Query {
         let mut clauses = Vec::new();
         if let Some(user) = &query.user {
@@ -77,14 +120,9 @@ impl StorageBackend for DocumentBackend {
         BackendKind::Document
     }
 
-    fn docs(&self) -> &Database {
-        &self.db
-    }
-
     fn ingest(&self, _partition: &PartitionKey, records: &[SampleRecord]) {
-        let samples = self.db.collection(SAMPLES);
         for record in records {
-            let _ = samples.insert(record.to_document());
+            let _ = self.samples.insert(record.to_document());
         }
     }
 
@@ -92,8 +130,8 @@ impl StorageBackend for DocumentBackend {
         if candidates.is_empty() {
             return Vec::new();
         }
-        let samples = self.db.collection(SAMPLES);
-        let mut rows: Vec<SampleRecord> = samples
+        let mut rows: Vec<SampleRecord> = self
+            .samples
             .find(&DocumentBackend::pushdown(query))
             .into_iter()
             .filter_map(|doc| SampleRecord::from_document(doc.body))
@@ -104,9 +142,9 @@ impl StorageBackend for DocumentBackend {
     }
 
     fn footprint(&self) -> StorageFootprint {
-        let samples = self.db.collection(SAMPLES);
-        let rows = samples.len() as u64;
-        let payload_bytes: u64 = samples
+        let rows = self.samples.len() as u64;
+        let payload_bytes: u64 = self
+            .samples
             .find(&Query::All)
             .iter()
             .filter_map(|doc| doc.body.get("payload"))
@@ -118,5 +156,29 @@ impl StorageBackend for DocumentBackend {
             chunks: u64::from(rows > 0),
             payload_bytes,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sensocial_runtime::json;
+
+    #[test]
+    fn field_paths_resolve() {
+        let doc = Document {
+            id: DocumentId(1),
+            body: json!({"a": {"b": {"c": 7}}, "top": "x"}),
+        };
+        assert_eq!(doc.field("top"), Some(&json!("x")));
+        assert_eq!(doc.field("a.b.c"), Some(&json!(7)));
+        assert_eq!(doc.field("a.b"), Some(&json!({"c": 7})));
+        assert_eq!(doc.field("a.missing"), None);
+        assert_eq!(doc.field("top.deeper"), None);
+    }
+
+    #[test]
+    fn display_is_nonempty() {
+        assert_eq!(DocumentId(4).to_string(), "doc#4");
     }
 }

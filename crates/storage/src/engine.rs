@@ -14,18 +14,20 @@
 //!   under every backend;
 //! * **telemetry** — all storage metrics (scope `storage`) are recorded
 //!   here and only here. Backends record nothing, which is what makes
-//!   same-seed snapshots byte-identical across backends.
+//!   same-seed snapshots byte-identical across backends;
+//! * **the document plane** — the one [`Database`] of the deployment,
+//!   holding the server's OSN actions and the applications' collections.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use sensocial_runtime::{SimDuration, Timestamp};
-use sensocial_store::{Collection, Database};
 use sensocial_telemetry::Registry;
 use sensocial_types::{ContextData, DeviceId, StreamId, UserId};
 
 use crate::backend::{BackendKind, StorageBackend, StorageFootprint};
+use crate::database::Database;
 use crate::sample::{PartitionKey, SampleQuery, SampleRecord};
 
 /// What one flush wrote.
@@ -52,7 +54,7 @@ struct EngineState {
 
 struct EngineInner {
     backend: Box<dyn StorageBackend>,
-    window_ms: u64,
+    docs: Database,
     flush_interval: SimDuration,
     telemetry: Registry,
     state: RefCell<EngineState>,
@@ -80,13 +82,12 @@ impl StorageEngine {
     /// construction path is the factory, [`crate::StorageConfig::open`].
     pub(crate) fn assemble(
         backend: Box<dyn StorageBackend>,
-        window: SimDuration,
         flush_interval: SimDuration,
     ) -> StorageEngine {
         StorageEngine {
             inner: Rc::new(EngineInner {
                 backend,
-                window_ms: window.as_millis().max(1),
+                docs: Database::new(),
                 flush_interval,
                 telemetry: Registry::new("storage"),
                 state: RefCell::new(EngineState {
@@ -111,24 +112,9 @@ impl StorageEngine {
         &self.inner.telemetry
     }
 
-    /// The partition window width in virtual milliseconds.
-    pub fn window_ms(&self) -> u64 {
-        self.inner.window_ms
-    }
-
-    /// How long appends may buffer before a flush, in virtual time.
-    pub fn flush_interval(&self) -> SimDuration {
-        self.inner.flush_interval
-    }
-
-    /// The document plane: registries and application collections.
+    /// The document plane: OSN actions and application collections.
     pub fn docs(&self) -> &Database {
-        self.inner.backend.docs()
-    }
-
-    /// A handle to a document-plane collection (created lazily).
-    pub fn collection(&self, name: &str) -> Collection {
-        self.docs().collection(name)
+        &self.inner.docs
     }
 
     /// Buffers one uplinked context datum for the next flush.
@@ -186,8 +172,7 @@ impl StorageEngine {
             let samples = pending.len() as u64;
             let mut batches: BTreeMap<PartitionKey, Vec<SampleRecord>> = BTreeMap::new();
             for record in pending {
-                let key =
-                    PartitionKey::for_sample(record.user.clone(), record.at, self.inner.window_ms);
+                let key = PartitionKey::for_sample(record.user.clone(), record.at);
                 batches.entry(key).or_default().push(record);
             }
             for key in batches.keys() {
@@ -228,7 +213,7 @@ impl StorageEngine {
             let candidates: Vec<PartitionKey> = state
                 .partitions
                 .iter()
-                .filter(|key| key.may_match(query, self.inner.window_ms))
+                .filter(|key| key.may_match(query))
                 .cloned()
                 .collect();
             let pruned = (total - candidates.len()) as u64;

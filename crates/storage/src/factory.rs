@@ -1,18 +1,17 @@
 //! The storage factory: configuration in, engine out.
 //!
-//! All storage construction funnels through [`StorageConfig::open`] — the
-//! repo lint bans direct `Database::new` calls outside this crate
-//! precisely so a backend can never be wired up behind the trait's back.
-//! The backend can be selected per-process with the
-//! `SENSOCIAL_STORAGE_BACKEND` environment variable (CI runs the tier-1
-//! suite once per backend through it); a value that names no backend
-//! stops the process instead of falling back.
+//! All storage construction funnels through [`StorageConfig::open`]: the
+//! document database's constructor is private to this crate, so no caller
+//! can wire up storage behind the trait's back. The backend can be
+//! selected per-process with the `SENSOCIAL_STORAGE_BACKEND` environment
+//! variable (CI runs the tier-1 suite once per backend through it); a
+//! value that names no backend stops the process instead of falling back.
 
 use std::str::FromStr;
 
 use sensocial_runtime::SimDuration;
 
-use crate::backend::BackendKind;
+use crate::backend::{BackendKind, StorageBackend};
 use crate::columnar::ColumnarBackend;
 use crate::document::DocumentBackend;
 use crate::engine::StorageEngine;
@@ -25,10 +24,6 @@ pub const BACKEND_ENV: &str = "SENSOCIAL_STORAGE_BACKEND";
 pub struct StorageConfig {
     /// Which backend to open.
     pub backend: BackendKind,
-    /// Name of the embedded document database.
-    pub database: String,
-    /// Partition window width (virtual time). Default: one minute.
-    pub window: SimDuration,
     /// How long uplinked samples may buffer before a flush (virtual
     /// time). Default: ten seconds — one batch per flush interval instead
     /// of one insert per sample.
@@ -39,8 +34,6 @@ impl Default for StorageConfig {
     fn default() -> Self {
         StorageConfig {
             backend: BackendKind::default(),
-            database: "sensocial".to_owned(),
-            window: SimDuration::from_secs(60),
             flush_interval: SimDuration::from_secs(10),
         }
     }
@@ -81,11 +74,11 @@ impl StorageConfig {
     /// Opens a fresh storage engine over the configured backend: the one
     /// sanctioned construction path for storage.
     pub fn open(&self) -> StorageEngine {
-        let backend: Box<dyn crate::backend::StorageBackend> = match self.backend {
-            BackendKind::Document => Box::new(DocumentBackend::create(&self.database)),
-            BackendKind::Columnar => Box::new(ColumnarBackend::create(&self.database)),
+        let backend: Box<dyn StorageBackend> = match self.backend {
+            BackendKind::Document => Box::new(DocumentBackend::create()),
+            BackendKind::Columnar => Box::new(ColumnarBackend::default()),
         };
-        StorageEngine::assemble(backend, self.window, self.flush_interval)
+        StorageEngine::assemble(backend, self.flush_interval)
     }
 }
 
@@ -139,6 +132,6 @@ mod tests {
         let config = StorageConfig::default();
         assert_eq!(config.backend, BackendKind::Document);
         assert!(!config.flush_interval.is_zero());
-        assert!(config.window.as_millis() >= config.flush_interval.as_millis());
+        assert!(crate::sample::WINDOW_MS >= config.flush_interval.as_millis());
     }
 }

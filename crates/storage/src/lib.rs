@@ -1,18 +1,25 @@
-//! Pluggable storage engine for the SenSocial middleware.
+//! The storage layer of the SenSocial middleware.
 //!
-//! SenSocial's server persists every OSN-filtered sensor stream (paper §4);
-//! this crate turns that persistence into a subsystem with a seam. A
-//! [`StorageBackend`] owns two planes — the Mongo-style *document plane*
-//! (registries, application collections) and the append-only *sample
-//! plane* (the sensor log) — and the [`StorageEngine`] in front of it owns
-//! everything backend-independent: global sequencing, batch ingest,
-//! partition planning with predicate pushdown, and the `storage.*`
-//! telemetry scope. Two backends ship:
+//! SenSocial's server keeps user registrations, friendships and locations
+//! in MongoDB and persists every OSN-filtered sensor stream (paper §4–§5).
+//! The [`StorageEngine`] holds both planes of that role:
 //!
-//! * [`BackendKind::Document`] — samples as indexed rows of a `samples`
-//!   collection in the document store (the historical layout);
-//! * [`BackendKind::Columnar`] — samples as append-only column chunks
-//!   partitioned by (user, virtual-time window), scanned column-first.
+//! * the **document plane** — one [`Database`] of named [`Collection`]s of
+//!   JSON [`Document`]s, queried with a Mongo-style [`Query`] (`$eq`-family
+//!   comparisons, `$exists`, `$and`, and `$near`/`$within` on a
+//!   `{lat, lon}` field). Field indexes, ordered for ranges, narrow a query
+//!   before its predicate is checked on every candidate, so an indexed
+//!   plan returns exactly the full-scan result. It holds the server's OSN
+//!   actions and the applications' collections;
+//! * the **sample plane** — the append-only sensor log behind the
+//!   [`StorageBackend`] trait. The engine owns everything
+//!   backend-independent: global sequencing, batch ingest, partition
+//!   planning with predicate pushdown, and the `storage.*` telemetry
+//!   scope. Two backends ship:
+//!   * [`BackendKind::Document`] — samples as indexed rows of a `samples`
+//!     collection (the historical layout);
+//!   * [`BackendKind::Columnar`] — samples as append-only column chunks
+//!     partitioned by (user, virtual-time window), scanned column-first.
 //!
 //! Because sequencing, pruning and telemetry live in the engine, a
 //! same-seed simulation produces identical scan results and byte-identical
@@ -20,7 +27,7 @@
 //! against both.
 //!
 //! Construction goes through the factory, [`StorageConfig::open`]; the
-//! repo lint bans direct `Database::new` calls everywhere else.
+//! document database has no public constructor.
 //!
 //! # Example
 //!
@@ -55,15 +62,23 @@
 #![warn(missing_docs)]
 
 mod backend;
+mod collection;
 mod columnar;
+mod database;
 mod document;
 mod engine;
 mod factory;
+mod index;
+mod query;
 mod sample;
 
 pub use backend::{BackendKind, StorageBackend, StorageFootprint};
+pub use collection::{Collection, CollectionStats};
+pub use database::Database;
+pub use document::{Document, DocumentId};
 pub use engine::{FlushSummary, StorageEngine};
 pub use factory::{StorageConfig, BACKEND_ENV};
+pub use query::{CmpOp, Query};
 pub use sample::{PartitionKey, SampleQuery, SampleRecord};
 
 #[cfg(test)]
@@ -154,13 +169,28 @@ mod tests {
                 .for_user("alice")
                 .between(Timestamp::from_secs(0), Timestamp::from_secs(60)),
             SampleQuery::all().within(GeoFence::new(GeoPoint::new(48.8, 2.35), 20_000.0)),
+            SampleQuery::all().within(GeoFence::new(GeoPoint::new(0.9101, 20.0), 10_000.0)),
             SampleQuery::all().for_stream(StreamId::new(3)),
         ]
     }
 
     #[test]
     fn backends_agree_on_every_probe_query() {
-        let work = workload(42, 300);
+        let mut work = workload(42, 300);
+        // Just inside the northern edge of the 10 km fence around
+        // (0.9101, 20.0) that `probe_queries` asks for.
+        let edge = GpsFix {
+            position: GeoPoint::new(1.00002, 20.0),
+            accuracy_m: 10.0,
+            speed_mps: 0.0,
+        };
+        work.push((
+            "alice".to_owned(),
+            "alice-phone".to_owned(),
+            300,
+            30_000,
+            ContextData::Raw(RawSample::Location(edge)),
+        ));
         let document = load(StorageConfig::document(), &work);
         let columnar = load(StorageConfig::columnar(), &work);
         for query in probe_queries() {

@@ -195,41 +195,41 @@ impl SampleRecord {
     }
 }
 
+/// Partition window width in virtual milliseconds: one minute.
+pub(crate) const WINDOW_MS: u64 = 60_000;
+
 /// A partition identity: one user crossed with one virtual-time window.
 ///
-/// Window `w` (of width `window_ms`) covers timestamps in
-/// `[w * window_ms, (w + 1) * window_ms)`.
+/// Window `w` covers timestamps in `[w * WINDOW_MS, (w + 1) * WINDOW_MS)`,
+/// one minute of virtual time.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PartitionKey {
     /// Owning user.
     pub user: UserId,
-    /// Window index (`at_ms / window_ms`).
+    /// Window index (`at_ms / WINDOW_MS`).
     pub window: u64,
 }
 
 impl PartitionKey {
     /// The partition a sample at `at` for `user` lands in.
-    pub fn for_sample(user: UserId, at: Timestamp, window_ms: u64) -> PartitionKey {
-        let width = window_ms.max(1);
+    pub fn for_sample(user: UserId, at: Timestamp) -> PartitionKey {
         PartitionKey {
             user,
-            window: at.as_millis() / width,
+            window: at.as_millis() / WINDOW_MS,
         }
     }
 
-    /// Whether this partition can hold rows matching `query`, given the
-    /// engine's window width. This is the pruning predicate: a `false`
-    /// means no row in the partition can match, so the backend never
-    /// touches it.
-    pub fn may_match(&self, query: &SampleQuery, window_ms: u64) -> bool {
+    /// Whether this partition can hold rows matching `query`. This is the
+    /// pruning predicate: a `false` means no row in the partition can
+    /// match, so the backend never touches it.
+    pub fn may_match(&self, query: &SampleQuery) -> bool {
         if let Some(user) = &query.user {
             if user != &self.user {
                 return false;
             }
         }
-        let width = window_ms.max(1);
-        let start = self.window.saturating_mul(width);
-        let end = start.saturating_add(width);
+        let start = self.window.saturating_mul(WINDOW_MS);
+        let end = start.saturating_add(WINDOW_MS);
         if let Some(from) = query.from {
             if end <= from.as_millis() {
                 return false;
@@ -473,7 +473,7 @@ mod tests {
 
     #[test]
     fn partition_windows_tile_time() {
-        let key = |s| PartitionKey::for_sample(UserId::new("a"), Timestamp::from_secs(s), 60_000);
+        let key = |s| PartitionKey::for_sample(UserId::new("a"), Timestamp::from_secs(s));
         assert_eq!(key(0).window, 0);
         assert_eq!(key(59).window, 0);
         assert_eq!(key(60).window, 1);
@@ -487,14 +487,14 @@ mod tests {
             window: 2, // covers [120s, 180s)
         };
         let q = SampleQuery::all().for_user("alice");
-        assert!(key.may_match(&q, 60_000));
-        assert!(!key.may_match(&SampleQuery::all().for_user("bob"), 60_000));
+        assert!(key.may_match(&q));
+        assert!(!key.may_match(&SampleQuery::all().for_user("bob")));
         let early = SampleQuery::all().between(Timestamp::from_secs(0), Timestamp::from_secs(100));
-        assert!(!key.may_match(&early, 60_000));
+        assert!(!key.may_match(&early));
         let edge = SampleQuery::all().between(Timestamp::from_secs(0), Timestamp::from_secs(120));
-        assert!(key.may_match(&edge, 60_000));
+        assert!(key.may_match(&edge));
         let late = SampleQuery::all().between(Timestamp::from_secs(180), Timestamp::from_secs(300));
-        assert!(!key.may_match(&late, 60_000));
+        assert!(!key.may_match(&late));
     }
 
     #[test]

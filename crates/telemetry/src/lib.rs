@@ -46,49 +46,3 @@ pub use registry::Registry;
 pub use snapshot::{GaugeSnapshot, HistogramSnapshot, Snapshot};
 pub use stage::Stage;
 pub use trace::{SpanGuard, TraceEvent};
-
-/// Increments a counter on a [`Registry`] handle.
-///
-/// `count!(reg, "uplink.sent")` adds one; `count!(reg, "uplink.sent", n)`
-/// adds `n`. Recognized by `xtask lint` as approved instrumentation.
-#[macro_export]
-macro_rules! count {
-    ($reg:expr, $name:expr) => {
-        $reg.count($name)
-    };
-    ($reg:expr, $name:expr, $n:expr) => {
-        $reg.count_by($name, $n)
-    };
-}
-
-/// Records a per-stage latency observation (milliseconds since sample
-/// birth) on a [`Registry`] handle.
-///
-/// Recognized by `xtask lint` as approved instrumentation.
-#[macro_export]
-macro_rules! observe {
-    ($reg:expr, $stage:expr, $ms:expr) => {
-        $reg.observe($stage, $ms)
-    };
-}
-
-/// Sets a gauge (current value + high-water mark) on a [`Registry`] handle.
-///
-/// Recognized by `xtask lint` as approved instrumentation.
-#[macro_export]
-macro_rules! gauge {
-    ($reg:expr, $name:expr, $v:expr) => {
-        $reg.gauge_set($name, $v)
-    };
-}
-
-/// Appends a trace event (virtual-time point annotation) on a [`Registry`]
-/// handle.
-///
-/// Recognized by `xtask lint` as approved instrumentation.
-#[macro_export]
-macro_rules! trace_event {
-    ($reg:expr, $at_ms:expr, $label:expr) => {
-        $reg.trace($at_ms, $label)
-    };
-}

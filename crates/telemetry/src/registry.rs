@@ -268,17 +268,4 @@ mod tests {
         assert_eq!(h.sum_ms, 40);
         assert_eq!(reg.recent_traces().len(), 1);
     }
-
-    #[test]
-    fn macros_compile_and_record() {
-        let reg = Registry::new("client");
-        crate::count!(reg, "uplink.sent");
-        crate::count!(reg, "uplink.sent", 2);
-        crate::gauge!(reg, "backlog", 9);
-        crate::observe!(reg, Stage::Sense, 0);
-        crate::trace_event!(reg, 5, "sample");
-        assert_eq!(reg.counter("uplink.sent"), 3);
-        assert_eq!(reg.gauge("backlog").unwrap().high_water, 9);
-        assert_eq!(reg.snapshot().stage(Stage::Sense).unwrap().count, 1);
-    }
 }

@@ -79,7 +79,7 @@ fn main() {
     }
 
     section("Server-side querying (the Mongo-style store)");
-    let walking = sensocial_store::Query::eq("activity", "walking");
+    let walking = sensocial_storage::Query::eq("activity", "walking");
     println!(
         "  records captured while walking: {} of {}",
         server_app.records.count(&walking),
