@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::rc::Rc;
 
 use sensocial_runtime::json::Value;
@@ -126,7 +127,7 @@ impl Collection {
         let mut inner = self.inner.borrow_mut();
         let id = DocumentId(inner.next_id);
         inner.next_id += 1;
-        index_doc(&mut inner, id, &body, true);
+        index_doc(&mut inner.field_indices, id, &body, true);
         inner.docs.insert(id, body);
         Ok(id)
     }
@@ -141,7 +142,86 @@ impl Collection {
 
     /// Finds all documents matching `query`, in id order.
     pub fn find(&self, query: &Query) -> Vec<Document> {
+        let mut found = Vec::new();
+        self.for_each_match(query, |id, body| {
+            found.push(Document {
+                id,
+                body: body.clone(),
+            });
+            ControlFlow::Continue(())
+        });
+        found
+    }
+
+    /// Finds the first matching document (lowest id).
+    pub fn find_one(&self, query: &Query) -> Option<Document> {
+        let mut first = None;
+        self.for_each_match(query, |id, body| {
+            first = Some(Document {
+                id,
+                body: body.clone(),
+            });
+            ControlFlow::Break(())
+        });
+        first
+    }
+
+    /// Number of documents matching `query`.
+    pub fn count(&self, query: &Query) -> usize {
+        let mut n = 0;
+        self.for_each_match(query, |_, _| {
+            n += 1;
+            ControlFlow::Continue(())
+        });
+        n
+    }
+
+    /// Sets `fields` (dotted paths) on every document matching `query`,
+    /// creating intermediate objects as needed. Returns the number of
+    /// documents updated.
+    pub fn update_set(&self, query: &Query, fields: &[(&str, Value)]) -> usize {
+        let mut ids = Vec::new();
+        self.for_each_match(query, |id, _| {
+            ids.push(id);
+            ControlFlow::Continue(())
+        });
         let mut inner = self.inner.borrow_mut();
+        let Inner {
+            docs,
+            field_indices,
+            ..
+        } = &mut *inner;
+        for id in &ids {
+            if let Some(body) = docs.get_mut(id) {
+                index_doc(field_indices, *id, body, false);
+                for (path, value) in fields {
+                    set_path(body, path, value.clone());
+                }
+                index_doc(field_indices, *id, body, true);
+            }
+        }
+        ids.len()
+    }
+
+    /// Calls `visit` on the id and stored body of each document matching
+    /// `query`, in id order, until it breaks. Every query runs here: the
+    /// planner narrows, the full predicate is checked on each candidate
+    /// where it is stored, and nothing is copied unless `visit` copies it.
+    /// `visit` runs while the collection is borrowed, so it must not call
+    /// back into it.
+    pub(crate) fn for_each_match(
+        &self,
+        query: &Query,
+        mut visit: impl FnMut(DocumentId, &Value) -> ControlFlow<()>,
+    ) {
+        let mut inner = self.inner.borrow_mut();
+        let mut check = |id: DocumentId, body: &Value| {
+            if query.matches_body(body) {
+                visit(id, body)
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
         match plan(&inner, query) {
             Some(mut candidates) => {
                 inner.stats.index_scans += 1;
@@ -149,66 +229,34 @@ impl Collection {
                 // promised in id order.
                 candidates.sort_unstable();
                 candidates.dedup();
-                candidates
-                    .into_iter()
-                    .filter_map(|id| {
-                        inner.docs.get(&id).map(|body| Document {
-                            id,
-                            body: body.clone(),
-                        })
-                    })
-                    .filter(|doc| query.matches(doc))
-                    .collect()
+                for id in candidates {
+                    if let Some(body) = inner.docs.get(&id) {
+                        if check(id, body).is_break() {
+                            return;
+                        }
+                    }
+                }
             }
             None => {
                 inner.stats.full_scans += 1;
-                inner
-                    .docs
-                    .iter()
-                    .map(|(id, body)| Document {
-                        id: *id,
-                        body: body.clone(),
-                    })
-                    .filter(|doc| query.matches(doc))
-                    .collect()
-            }
-        }
-    }
-
-    /// Finds the first matching document (lowest id).
-    pub fn find_one(&self, query: &Query) -> Option<Document> {
-        self.find(query).into_iter().next()
-    }
-
-    /// Number of documents matching `query`.
-    pub fn count(&self, query: &Query) -> usize {
-        self.find(query).len()
-    }
-
-    /// Sets `fields` (dotted paths) on every document matching `query`,
-    /// creating intermediate objects as needed. Returns the number of
-    /// documents updated.
-    pub fn update_set(&self, query: &Query, fields: &[(&str, Value)]) -> usize {
-        let ids: Vec<DocumentId> = self.find(query).into_iter().map(|d| d.id).collect();
-        let mut inner = self.inner.borrow_mut();
-        for id in &ids {
-            if let Some(body) = inner.docs.get(id).cloned() {
-                index_doc(&mut inner, *id, &body, false);
-                let mut body = body;
-                for (path, value) in fields {
-                    set_path(&mut body, path, value.clone());
+                for (id, body) in &inner.docs {
+                    if check(*id, body).is_break() {
+                        return;
+                    }
                 }
-                index_doc(&mut inner, *id, &body, true);
-                inner.docs.insert(*id, body);
             }
         }
-        ids.len()
     }
 }
 
 /// Adds (`add = true`) or removes a document from every index.
-fn index_doc(inner: &mut Inner, id: DocumentId, body: &Value, add: bool) {
-    for (field, index) in inner.field_indices.iter_mut() {
+fn index_doc(
+    field_indices: &mut BTreeMap<String, FieldIndex>,
+    id: DocumentId,
+    body: &Value,
+    add: bool,
+) {
+    for (field, index) in field_indices.iter_mut() {
         if let Some(value) = lookup_path(body, field) {
             if add {
                 index.insert(value, id);

@@ -9,6 +9,7 @@
 //! [`Collection`]: crate::Collection
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use sensocial_runtime::json::Value;
 
@@ -79,8 +80,9 @@ impl DocumentBackend {
 
     /// Translates a sample query into the collection's query language so
     /// its planner can use the field indexes. The fence clause narrows
-    /// nothing in the planner; it drops rows outside the fence before
-    /// [`SampleRecord::from_document`] parses them.
+    /// nothing in the planner; it is checked on each stored body, so rows
+    /// outside the fence are dropped before they are copied or parsed by
+    /// [`SampleRecord::from_document`].
     fn pushdown(query: &SampleQuery) -> Query {
         let mut clauses = Vec::new();
         if let Some(user) = &query.user {
@@ -130,27 +132,29 @@ impl StorageBackend for DocumentBackend {
         if candidates.is_empty() {
             return Vec::new();
         }
-        let mut rows: Vec<SampleRecord> = self
-            .samples
-            .find(&DocumentBackend::pushdown(query))
-            .into_iter()
-            .filter_map(|doc| SampleRecord::from_document(doc.body))
-            .filter(|record| query.matches(record))
-            .collect();
+        let mut rows = Vec::new();
+        self.samples
+            .for_each_match(&DocumentBackend::pushdown(query), |_, body| {
+                if let Some(record) = SampleRecord::from_document(body) {
+                    if query.matches(&record) {
+                        rows.push(record);
+                    }
+                }
+                ControlFlow::Continue(())
+            });
         rows.sort_by_key(|r| r.seq);
         rows
     }
 
     fn footprint(&self) -> StorageFootprint {
         let rows = self.samples.len() as u64;
-        let payload_bytes: u64 = self
-            .samples
-            .find(&Query::All)
-            .iter()
-            .filter_map(|doc| doc.body.get("payload"))
-            .filter_map(|p| p.as_str())
-            .map(|p| p.len() as u64)
-            .sum();
+        let mut payload_bytes = 0;
+        self.samples.for_each_match(&Query::All, |_, body| {
+            if let Some(payload) = body.get("payload").and_then(Value::as_str) {
+                payload_bytes += payload.len() as u64;
+            }
+            ControlFlow::Continue(())
+        });
         StorageFootprint {
             rows,
             chunks: u64::from(rows > 0),

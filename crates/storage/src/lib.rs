@@ -9,8 +9,9 @@
 //!   comparisons, `$exists`, `$and`, and `$near`/`$within` on a
 //!   `{lat, lon}` field). Field indexes, ordered for ranges, narrow a query
 //!   before its predicate is checked on every candidate, so an indexed
-//!   plan returns exactly the full-scan result. It holds the server's OSN
-//!   actions and the applications' collections;
+//!   plan returns exactly the full-scan result. The check runs on the
+//!   stored body, so a query copies only the documents it returns. It
+//!   holds the server's OSN actions and the applications' collections;
 //! * the **sample plane** — the append-only sensor log behind the
 //!   [`StorageBackend`] trait. The engine owns everything
 //!   backend-independent: global sequencing, batch ingest, partition

@@ -131,10 +131,16 @@ impl Query {
 
     /// Evaluates the predicate against a document.
     pub fn matches(&self, doc: &Document) -> bool {
+        self.matches_body(&doc.body)
+    }
+
+    /// Evaluates the predicate against a document body where it is
+    /// stored, so a collection copies only the bodies that match.
+    pub(crate) fn matches_body(&self, body: &Value) -> bool {
         match self {
             Query::All => true,
             Query::Cmp { field, op, value } => {
-                let found = lookup_path(&doc.body, field);
+                let found = lookup_path(body, field);
                 match (op, found) {
                     // Mongo semantics: $ne matches documents missing the field.
                     (CmpOp::Ne, None) => true,
@@ -152,13 +158,13 @@ impl Query {
                         .unwrap_or(*op == CmpOp::Ne),
                 }
             }
-            Query::Exists { field } => lookup_path(&doc.body, field).is_some(),
-            Query::And(qs) => qs.iter().all(|q| q.matches(doc)),
+            Query::Exists { field } => lookup_path(body, field).is_some(),
+            Query::And(qs) => qs.iter().all(|q| q.matches_body(body)),
             Query::Near {
                 field,
                 center,
                 max_distance_m,
-            } => extract_point(lookup_path(&doc.body, field))
+            } => extract_point(lookup_path(body, field))
                 .map(|p| center.distance_m(p) <= *max_distance_m)
                 .unwrap_or(false),
         }

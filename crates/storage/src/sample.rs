@@ -145,40 +145,35 @@ impl SampleRecord {
         Value::Object(doc)
     }
 
-    /// Reads a record back from its store document, taking the strings
-    /// out of it; `None` when the document does not hold one.
-    pub(crate) fn from_document(doc: Value) -> Option<SampleRecord> {
-        let Value::Object(mut doc) = doc else {
-            return None;
-        };
-        let mut take = |key: &str| doc.remove(key).filter(|v| !v.is_null());
-        let string = |v: Value| match v {
-            Value::String(s) => Some(s),
-            _ => None,
-        };
-        let seq = take("seq")?.as_u64()?;
-        let user = UserId::new(take("user")?.as_str()?);
-        let device = DeviceId::new(take("device")?.as_str()?);
-        let stream = StreamId::new(take("stream")?.as_u64()?);
-        let modality = take("modality")?.as_str()?.parse().ok()?;
-        let granularity = take("granularity")?.as_str()?.parse().ok()?;
-        let at = Timestamp::from_millis(take("at")?.as_u64()?);
-        let position = match take("position") {
+    /// Reads a record back from its stored document body; `None` when the
+    /// document does not hold one. Ids are interned, so only the label
+    /// and the payload are copied out of it.
+    pub(crate) fn from_document(doc: &Value) -> Option<SampleRecord> {
+        let doc = doc.as_object()?;
+        let field = |key: &str| doc.get(key).filter(|v| !v.is_null());
+        let seq = field("seq")?.as_u64()?;
+        let user = UserId::new(field("user")?.as_str()?);
+        let device = DeviceId::new(field("device")?.as_str()?);
+        let stream = StreamId::new(field("stream")?.as_u64()?);
+        let modality = field("modality")?.as_str()?.parse().ok()?;
+        let granularity = field("granularity")?.as_str()?.parse().ok()?;
+        let at = Timestamp::from_millis(field("at")?.as_u64()?);
+        let position = match field("position") {
             Some(p) => Some(GeoPoint {
                 lat: p.get("lat")?.as_f64()?,
                 lon: p.get("lon")?.as_f64()?,
             }),
             None => None,
         };
-        let numeric = match take("numeric") {
+        let numeric = match field("numeric") {
             Some(n) => Some(n.as_f64()?),
             None => None,
         };
-        let label = match take("label") {
-            Some(l) => Some(string(l)?),
+        let label = match field("label") {
+            Some(l) => Some(l.as_str()?.to_owned()),
             None => None,
         };
-        let payload = string(take("payload")?)?;
+        let payload = field("payload")?.as_str()?.to_owned();
         Some(SampleRecord {
             seq,
             user,
@@ -466,9 +461,9 @@ mod tests {
         ] {
             let doc = rec.to_document();
             assert_eq!(json::to_string(&doc), stored);
-            assert_eq!(SampleRecord::from_document(doc), Some(rec));
+            assert_eq!(SampleRecord::from_document(&doc), Some(rec));
         }
-        assert_eq!(SampleRecord::from_document(Value::from("x")), None);
+        assert_eq!(SampleRecord::from_document(&Value::from("x")), None);
     }
 
     #[test]

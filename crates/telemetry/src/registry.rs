@@ -57,9 +57,9 @@ fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&
 
 impl Registry {
     /// Creates an empty registry for the given scope.
-    pub fn new(scope: impl Into<String>) -> Self {
+    pub fn new(scope: &str) -> Self {
         Registry {
-            scope: Rc::from(scope.into()),
+            scope: Rc::from(scope),
             inner: Rc::new(RefCell::new(Inner::default())),
         }
     }

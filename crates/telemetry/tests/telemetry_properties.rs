@@ -138,7 +138,7 @@ fn snapshot_merge_order_is_irrelevant() {
     check(256, |rng| {
         let (a, b) = (samples(rng), samples(rng));
         let build = |values: &[u64], scope: &str| {
-            let reg = Registry::new(scope.to_owned());
+            let reg = Registry::new(scope);
             for &ms in values {
                 reg.observe(Stage::Uplink, ms);
                 reg.count("uplink.sent");

@@ -17,7 +17,7 @@
 use sensocial_runtime::json::Value;
 use sensocial_runtime::{json_enum, json_struct, Timestamp};
 
-use crate::{ContextSnapshot, Modality, OsnAction, UserId};
+use crate::{ClassifiedContext, ContextSnapshot, Modality, OsnAction, UserId};
 
 /// Comparison operators available in filter conditions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -159,25 +159,25 @@ impl ConditionLhs {
     /// compiled `PredicateProgram` evaluator in `sensocial-core`, so the
     /// two agree by construction. Numeric left-hand sides return `None`;
     /// use [`ConditionLhs::fetch_number`] for those.
+    ///
+    /// The value borrows from the snapshot, the OSN action or a static
+    /// name, so a check allocates nothing.
     #[must_use]
-    pub fn fetch_string(self, ctx: &EvalContext<'_>) -> Option<String> {
+    pub fn fetch_string<'c>(self, ctx: &EvalContext<'c>) -> Option<&'c str> {
         match self {
-            ConditionLhs::PhysicalActivity => ctx.snapshot.activity().map(|a| a.name().to_owned()),
-            ConditionLhs::AudioEnvironment => ctx
-                .snapshot
-                .classified(Modality::Microphone)
-                .map(|(_, c)| c.value_string()),
-            ConditionLhs::Place => Some(ctx.snapshot.place().unwrap_or("unknown").to_owned()),
-            ConditionLhs::OsnActivity => Some(
-                if ctx.osn_action.is_some() {
-                    "active"
-                } else {
-                    "inactive"
-                }
-                .to_owned(),
-            ),
-            ConditionLhs::OsnActionKind => ctx.osn_action.map(|a| a.kind.name().to_owned()),
-            ConditionLhs::OsnTopic => ctx.osn_action.and_then(|a| a.topic.clone()),
+            ConditionLhs::PhysicalActivity => ctx.snapshot.activity().map(|a| a.name()),
+            ConditionLhs::AudioEnvironment => match ctx.snapshot.classified(Modality::Microphone) {
+                Some((_, ClassifiedContext::Audio(a))) => Some(a.name()),
+                _ => None,
+            },
+            ConditionLhs::Place => Some(ctx.snapshot.place().unwrap_or("unknown")),
+            ConditionLhs::OsnActivity => Some(if ctx.osn_action.is_some() {
+                "active"
+            } else {
+                "inactive"
+            }),
+            ConditionLhs::OsnActionKind => ctx.osn_action.map(|a| a.kind.name()),
+            ConditionLhs::OsnTopic => ctx.osn_action.and_then(|a| a.topic.as_deref()),
             ConditionLhs::WifiDensity
             | ConditionLhs::BluetoothDensity
             | ConditionLhs::HourOfDay => None,
@@ -359,7 +359,7 @@ impl Condition {
         }
     }
 
-    fn compare_string(&self, actual: Option<String>) -> Result<bool, EvalError> {
+    fn compare_string(&self, actual: Option<&str>) -> Result<bool, EvalError> {
         let expected = match &self.value {
             Value::String(s) => s.as_str(),
             _ => return Err(self.eval_error(EvalErrorKind::NonStringValue)),
