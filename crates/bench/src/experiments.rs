@@ -57,7 +57,6 @@ pub struct Table1Row {
 pub fn table1() -> Vec<Table1Row> {
     let (mobile_files, mobile) = count(&[
         "crates/core/src/client",
-        "crates/core/src/filter.rs",
         "crates/core/src/config.rs",
         "crates/core/src/privacy.rs",
         "crates/core/src/event.rs",

@@ -245,12 +245,12 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens the journal inside `storage`, creating its index on first
-    /// use.
+    /// Opens the journal inside `storage`, creating its collection on
+    /// first use.
     pub fn open(storage: &StorageEngine) -> Self {
-        let collection = storage.docs().collection(JOURNAL_COLLECTION);
-        collection.create_index("seq");
-        Journal { collection }
+        Journal {
+            collection: storage.docs().collection(JOURNAL_COLLECTION),
+        }
     }
 
     /// Appends one record: its document is its JSON form, an object of

@@ -11,6 +11,7 @@ use sensocial_energy::{
 };
 use sensocial_runtime::{Scheduler, SimDuration, Timer, Timestamp};
 use sensocial_sensors::{SensorConfig, SensorManager};
+use sensocial_types::filter::EvalContext;
 use sensocial_types::{
     ContextData, ContextSnapshot, DeviceId, Error, Granularity, InternedTopic, OsnAction, Place,
     RawSample, Result, StreamId, UserId,
@@ -24,7 +25,6 @@ use sensocial_telemetry::{Registry, Stage};
 
 use crate::config::{check_interval, ConfigCommand, StreamMode, StreamSink, StreamSpec};
 use crate::event::{ConfigAck, RegistrationPayload, StreamEvent, TriggerPayload};
-use crate::filter::EvalContext;
 use crate::privacy::{PrivacyPolicy, PrivacyPolicyManager};
 use crate::{Topic, REGISTER_TOPIC};
 
@@ -511,7 +511,7 @@ impl ClientManager {
         &self,
         sched: &mut Scheduler,
         id: StreamId,
-        filter: crate::filter::Filter,
+        filter: sensocial_types::filter::Filter,
     ) -> Result<()> {
         let candidate = {
             let inner = self.inner.borrow();
@@ -660,7 +660,7 @@ impl ClientManager {
         // paper's energy rule applies: "the stream's required modality is
         // sampled only when the conditions are satisfied" — so the duty
         // cycle first checks the gate and only then pays for the sensor.
-        let gating: Vec<crate::filter::Condition> = spec
+        let gating: Vec<sensocial_types::filter::Condition> = spec
             .filter
             .conditions
             .iter()
@@ -685,7 +685,7 @@ impl ClientManager {
                 let modality = spec.modality;
                 // Lower the gate once; every tick runs the flat program
                 // instead of re-inspecting the conditions' JSON values.
-                let gate = compile(&crate::filter::Filter::new(gating));
+                let gate = compile(&sensocial_types::filter::Filter::new(gating));
                 let timer = Timer::start(sched, spec.interval, move |s| {
                     let gate_passes = {
                         let mut inner = mgr.inner.borrow_mut();

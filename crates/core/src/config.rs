@@ -9,9 +9,8 @@
 
 use sensocial_runtime::json::{self, Json, Reader, Writer};
 use sensocial_runtime::{json_enum, json_members, json_struct, SimDuration};
+use sensocial_types::filter::Filter;
 use sensocial_types::{DeviceId, Error, Granularity, Modality, StreamId};
-
-use crate::filter::Filter;
 
 /// Whether a stream samples on a duty cycle or on OSN triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -408,7 +407,7 @@ impl ConfigCommand {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::{Condition, ConditionLhs, Operator};
+    use sensocial_types::filter::{Condition, ConditionLhs, Operator};
 
     #[test]
     fn builders_set_fields() {

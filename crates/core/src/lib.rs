@@ -68,7 +68,6 @@
 pub mod client;
 mod config;
 mod event;
-mod filter;
 mod predicate;
 mod privacy;
 pub mod server;
@@ -76,11 +75,11 @@ mod topic;
 
 pub use config::{ConfigCommand, StreamMode, StreamSink, StreamSpec};
 pub use event::{ConfigAck, RegistrationPayload, StreamEvent, TriggerPayload};
-pub use filter::{
-    Condition, ConditionLhs, EvalContext, EvalError, EvalErrorKind, Filter, Operator,
-};
 pub use predicate::{eval_full, eval_local};
 pub use privacy::{PrivacyPolicy, PrivacyPolicyManager};
+pub use sensocial_types::filter::{
+    Condition, ConditionLhs, EvalContext, EvalError, EvalErrorKind, Filter, Operator,
+};
 pub use topic::Topic;
 
 // The compiled form the managers evaluate: filters are lowered once at
@@ -94,9 +93,7 @@ pub use sensocial_telemetry::{Registry as TelemetryRegistry, Snapshot as Telemet
 // The storage engine is part of the server's public API surface:
 // `ServerDeps::new` takes an opened engine and `ServerManager::storage`
 // hands it back for scans.
-pub use sensocial_storage::{
-    BackendKind as StorageBackendKind, SampleQuery, SampleRecord, StorageConfig, StorageEngine,
-};
+pub use sensocial_storage::{SampleQuery, SampleRecord, StorageConfig, StorageEngine};
 
 // Re-export the vocabulary types users need at the API surface, including
 // the plan diagnostics carried by `Error::PlanRejected`.

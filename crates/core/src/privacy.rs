@@ -182,7 +182,7 @@ impl sensocial_analysis::PrivacyView for PrivacyPolicyManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::{Condition, ConditionLhs, Filter, Operator};
+    use sensocial_types::filter::{Condition, ConditionLhs, Filter, Operator};
 
     #[test]
     fn default_policies() {

@@ -12,6 +12,7 @@ use sensocial_runtime::json;
 use sensocial_runtime::{Scheduler, SimDuration, SimRng, Timestamp};
 use sensocial_storage::{Database, StorageEngine};
 use sensocial_telemetry::{Registry, Stage};
+use sensocial_types::filter::{EvalContext, Filter};
 use sensocial_types::{
     ContextData, ContextSnapshot, DeviceId, Error, GeoPoint, OsnAction, OsnActionKind, RawSample,
     Result, StreamId, TriggerId, UserId,
@@ -26,7 +27,6 @@ use sensocial_analysis::{
 use crate::client::manager_internals::REMOTE_STREAM_ID_BASE;
 use crate::config::{check_interval, ConfigCommand, StreamMode, StreamSink, StreamSpec};
 use crate::event::{ConfigAck, RegistrationPayload, StreamEvent, TriggerPayload};
-use crate::filter::{EvalContext, Filter};
 use crate::predicate::eval_full;
 use crate::{Topic, ACK_WILDCARD, REGISTER_TOPIC, UPLINK_WILDCARD};
 
@@ -1416,8 +1416,7 @@ mod tests {
     }
 
     /// The document mirror the position table replaced, kept as the
-    /// oracle: a `locations` collection with an index on `user`, upserted
-    /// by update-else-insert.
+    /// oracle: a `locations` collection upserted by update-else-insert.
     struct Mirror {
         locations: Collection,
         /// Each user's last uplinked fix: the live context position.
@@ -1426,10 +1425,8 @@ mod tests {
 
     impl Mirror {
         fn new() -> Self {
-            let locations = Collection::new("locations");
-            locations.create_index("user");
             Mirror {
-                locations,
+                locations: Collection::new("locations"),
                 fixes: BTreeMap::new(),
             }
         }

@@ -12,10 +12,10 @@
 use std::collections::BTreeMap;
 
 use sensocial_analysis::{compile, PredicateProgram};
+use sensocial_types::filter::Filter;
 use sensocial_types::{GeoFence, StreamId, UserId};
 
 use crate::config::StreamSpec;
-use crate::filter::Filter;
 
 /// Identifies a multicast stream created with
 /// [`ServerManager::create_multicast`](super::ServerManager::create_multicast).

@@ -342,6 +342,18 @@ fn malformed_input_is_counted_on_every_receive_path() {
     ] {
         rogue.publish(&mut d.sched, topic, "not json", QoS::AtLeastOnce, false);
     }
+    // An empty level matches the server's `+` wildcards but names no
+    // device, so neither topic parses.
+    for topic in ["sensocial/uplink/", "sensocial/ack/"] {
+        rogue.publish(&mut d.sched, topic, "not json", QoS::AtLeastOnce, false);
+    }
+    rogue.publish(
+        &mut d.sched,
+        Topic::Uplink(device.clone()),
+        "not json",
+        QoS::AtLeastOnce,
+        false,
+    );
     d.sched.run_for(SimDuration::from_secs(5));
 
     let broker = d.broker.telemetry().snapshot();
@@ -350,6 +362,8 @@ fn malformed_input_is_counted_on_every_receive_path() {
     assert_eq!(broker.counter("broker.malformed_packets"), 1);
     assert_eq!(server.counter("server.malformed_registrations"), 1);
     assert_eq!(server.counter("server.malformed_acks"), 1);
+    assert_eq!(server.counter("server.malformed_topics"), 2);
+    assert_eq!(server.counter("server.malformed_uplinks"), 1);
     assert_eq!(client.counter("client.malformed_triggers"), 1);
     assert_eq!(client.counter("client.malformed_configs"), 1);
 

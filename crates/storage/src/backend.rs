@@ -22,8 +22,8 @@ use crate::sample::{PartitionKey, SampleQuery, SampleRecord};
 /// The storage backends shipped with the middleware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
-    /// Samples live as documents in a `samples` collection, with field
-    /// indexes on user, modality and time.
+    /// Samples live as documents in a `samples` collection, each scan
+    /// one walk over them in insert order.
     #[default]
     Document,
     /// Samples live in append-only column chunks partitioned by
@@ -78,8 +78,12 @@ pub struct StorageFootprint {
     pub payload_bytes: u64,
 }
 
-/// A pluggable storage backend: the sample log.
-pub trait StorageBackend {
+/// The engine's internal seam to a sample-log layout. It is
+/// crate-private: [`StorageConfig::open`] builds the two backends that
+/// ship, and no other crate can plug one in.
+///
+/// [`StorageConfig::open`]: crate::StorageConfig::open
+pub(crate) trait StorageBackend {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
 
@@ -94,7 +98,7 @@ pub trait StorageBackend {
     ///
     /// `candidates` is the engine's pruned partition list, in key order:
     /// every partition that *may* hold a match. A backend may narrow
-    /// further (column pushdown, field indexes) but must apply
+    /// further (column or document pushdown) but must apply
     /// [`SampleQuery::matches`] as the final membership test and must
     /// return rows in ingest (`seq`) order.
     fn scan(&self, query: &SampleQuery, candidates: &[PartitionKey]) -> Vec<SampleRecord>;

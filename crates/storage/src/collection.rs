@@ -1,4 +1,4 @@
-//! Collections: documents + indices + the query planner.
+//! Collections: documents in id order, each query one walk over them.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -8,26 +8,13 @@ use std::rc::Rc;
 use sensocial_runtime::json::Value;
 use sensocial_types::{Error, Result};
 
-use crate::document::{lookup_path, Document, DocumentId};
-use crate::index::FieldIndex;
+use crate::document::{Document, DocumentId};
 use crate::query::Query;
-
-/// Counters describing collection activity, used to assert that the
-/// planner actually uses indices.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CollectionStats {
-    /// Queries answered via an index.
-    pub index_scans: u64,
-    /// Queries answered by scanning every document.
-    pub full_scans: u64,
-}
 
 struct Inner {
     name: String,
     docs: BTreeMap<DocumentId, Value>,
     next_id: u64,
-    field_indices: BTreeMap<String, FieldIndex>,
-    stats: CollectionStats,
 }
 
 /// A named collection of JSON documents.
@@ -60,7 +47,6 @@ impl std::fmt::Debug for Collection {
         f.debug_struct("Collection")
             .field("name", &inner.name)
             .field("len", &inner.docs.len())
-            .field("stats", &inner.stats)
             .finish()
     }
 }
@@ -75,8 +61,6 @@ impl Collection {
                 name: name.into(),
                 docs: BTreeMap::new(),
                 next_id: 0,
-                field_indices: BTreeMap::new(),
-                stats: CollectionStats::default(),
             })),
         }
     }
@@ -89,27 +73,6 @@ impl Collection {
     /// Whether the collection is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> CollectionStats {
-        self.inner.borrow().stats
-    }
-
-    /// Creates an ordered index on a (dotted) field path and backfills it.
-    /// Idempotent.
-    pub fn create_index(&self, field: &str) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.field_indices.contains_key(field) {
-            return;
-        }
-        let mut index = FieldIndex::new();
-        for (id, body) in &inner.docs {
-            if let Some(value) = lookup_path(body, field) {
-                index.insert(value, *id);
-            }
-        }
-        inner.field_indices.insert(field.to_owned(), index);
     }
 
     /// Inserts a document, returning its id.
@@ -127,7 +90,6 @@ impl Collection {
         let mut inner = self.inner.borrow_mut();
         let id = DocumentId(inner.next_id);
         inner.next_id += 1;
-        index_doc(&mut inner.field_indices, id, &body, true);
         inner.docs.insert(id, body);
         Ok(id)
     }
@@ -180,106 +142,34 @@ impl Collection {
     /// creating intermediate objects as needed. Returns the number of
     /// documents updated.
     pub fn update_set(&self, query: &Query, fields: &[(&str, Value)]) -> usize {
-        let mut ids = Vec::new();
-        self.for_each_match(query, |id, _| {
-            ids.push(id);
-            ControlFlow::Continue(())
-        });
-        let mut inner = self.inner.borrow_mut();
-        let Inner {
-            docs,
-            field_indices,
-            ..
-        } = &mut *inner;
-        for id in &ids {
-            if let Some(body) = docs.get_mut(id) {
-                index_doc(field_indices, *id, body, false);
+        let mut updated = 0;
+        for body in self.inner.borrow_mut().docs.values_mut() {
+            if query.matches_body(body) {
                 for (path, value) in fields {
                     set_path(body, path, value.clone());
                 }
-                index_doc(field_indices, *id, body, true);
+                updated += 1;
             }
         }
-        ids.len()
+        updated
     }
 
     /// Calls `visit` on the id and stored body of each document matching
     /// `query`, in id order, until it breaks. Every query runs here: the
-    /// planner narrows, the full predicate is checked on each candidate
-    /// where it is stored, and nothing is copied unless `visit` copies it.
-    /// `visit` runs while the collection is borrowed, so it must not call
-    /// back into it.
+    /// predicate is checked on each body where it is stored, and nothing
+    /// is copied unless `visit` copies it. `visit` runs while the
+    /// collection is borrowed, so it must not write to it.
     pub(crate) fn for_each_match(
         &self,
         query: &Query,
         mut visit: impl FnMut(DocumentId, &Value) -> ControlFlow<()>,
     ) {
-        let mut inner = self.inner.borrow_mut();
-        let mut check = |id: DocumentId, body: &Value| {
-            if query.matches_body(body) {
-                visit(id, body)
-            } else {
-                ControlFlow::Continue(())
-            }
-        };
-        match plan(&inner, query) {
-            Some(mut candidates) => {
-                inner.stats.index_scans += 1;
-                // Index candidates arrive in key order; results are
-                // promised in id order.
-                candidates.sort_unstable();
-                candidates.dedup();
-                for id in candidates {
-                    if let Some(body) = inner.docs.get(&id) {
-                        if check(id, body).is_break() {
-                            return;
-                        }
-                    }
-                }
-            }
-            None => {
-                inner.stats.full_scans += 1;
-                for (id, body) in &inner.docs {
-                    if check(*id, body).is_break() {
-                        return;
-                    }
-                }
+        let inner = self.inner.borrow();
+        for (id, body) in &inner.docs {
+            if query.matches_body(body) && visit(*id, body).is_break() {
+                return;
             }
         }
-    }
-}
-
-/// Adds (`add = true`) or removes a document from every index.
-fn index_doc(
-    field_indices: &mut BTreeMap<String, FieldIndex>,
-    id: DocumentId,
-    body: &Value,
-    add: bool,
-) {
-    for (field, index) in field_indices.iter_mut() {
-        if let Some(value) = lookup_path(body, field) {
-            if add {
-                index.insert(value, id);
-            } else {
-                index.remove(value, id);
-            }
-        }
-    }
-}
-
-/// Returns candidate ids if some field index can narrow the query, else
-/// `None` (full scan). Candidates are always *verified* against the full
-/// query, so a plan only needs to be a superset of the true matches
-/// **restricted to the planned predicate**; for `And` we plan on the first
-/// conjunct that has an index.
-fn plan(inner: &Inner, query: &Query) -> Option<Vec<DocumentId>> {
-    match query {
-        Query::Cmp { field, op, value } => inner
-            .field_indices
-            .get(field)
-            .and_then(|idx| idx.candidates(*op, value)),
-        Query::And(qs) => qs.iter().find_map(|q| plan(inner, q)),
-        _ => None,
     }
 }
 
@@ -310,7 +200,6 @@ fn set_path(body: &mut Value, path: &str, value: Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::CmpOp;
     use sensocial_runtime::json;
 
     fn seeded() -> Collection {
@@ -342,44 +231,8 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_unindexed_agree() {
-        let c = seeded();
-        let unindexed = c.find(&Query::eq("home", "Paris"));
-        c.create_index("home");
-        let indexed = c.find(&Query::eq("home", "Paris"));
-        assert_eq!(unindexed, indexed);
-        let stats = c.stats();
-        assert_eq!(stats.index_scans, 1);
-        assert_eq!(stats.full_scans, 1);
-    }
-
-    #[test]
-    fn range_queries_use_index() {
-        let c = seeded();
-        c.create_index("age");
-        let adults = c.find(&Query::cmp("age", CmpOp::Gte, 30));
-        assert_eq!(adults.len(), 2);
-        assert_eq!(c.stats().index_scans, 1);
-    }
-
-    #[test]
-    fn and_plans_on_any_indexed_conjunct() {
-        let c = seeded();
-        c.create_index("home");
-        let q = Query::and(vec![
-            Query::cmp("age", CmpOp::Lt, 40),
-            Query::eq("home", "Paris"),
-        ]);
-        let got = c.find(&q);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].body["name"], "alice");
-        assert_eq!(c.stats().index_scans, 1);
-    }
-
-    #[test]
     fn update_set_rewrites_and_reindexes() {
         let c = seeded();
-        c.create_index("home");
         let n = c.update_set(&Query::eq("name", "bob"), &[("home", json!("Paris"))]);
         assert_eq!(n, 1);
         assert_eq!(c.count(&Query::eq("home", "Paris")), 3);

@@ -2,9 +2,9 @@
 //!
 //! A [`Document`] is one JSON object in a [`Collection`], under the id the
 //! collection assigned at insert. The document backend keeps every sample
-//! as one document of its own `samples` collection, with field indexes on
-//! the user, modality and timestamp columns. Predicate pushdown happens
-//! through the collection's query planner.
+//! as one document of its own `samples` collection; a scan is one walk of
+//! that collection with the sample query pushed down into the collection's
+//! query language.
 //!
 //! [`Collection`]: crate::Collection
 
@@ -62,27 +62,24 @@ pub(crate) fn lookup_path<'v>(value: &'v Value, path: &str) -> Option<&'v Value>
     Some(current)
 }
 
-/// Samples stored as indexed documents of one collection.
+/// Samples stored as documents of one collection.
 #[derive(Debug)]
 pub struct DocumentBackend {
     samples: Collection,
 }
 
 impl DocumentBackend {
-    /// Creates the backend around an empty, indexed `samples` collection.
+    /// Creates the backend around an empty `samples` collection.
     pub(crate) fn create() -> DocumentBackend {
-        let samples = Collection::new("samples");
-        samples.create_index("user");
-        samples.create_index("modality");
-        samples.create_index("at");
-        DocumentBackend { samples }
+        DocumentBackend {
+            samples: Collection::new("samples"),
+        }
     }
 
-    /// Translates a sample query into the collection's query language so
-    /// its planner can use the field indexes. The fence clause narrows
-    /// nothing in the planner; it is checked on each stored body, so rows
-    /// outside the fence are dropped before they are copied or parsed by
-    /// [`SampleRecord::from_document`].
+    /// Translates a sample query into the collection's query language.
+    /// The collection checks it on each stored body, so a row that fails
+    /// any clause, the fence included, is dropped before it is copied or
+    /// parsed by [`SampleRecord::from_document`].
     fn pushdown(query: &SampleQuery) -> Query {
         let mut clauses = Vec::new();
         if let Some(user) = &query.user {

@@ -202,8 +202,8 @@ impl StorageEngine {
     ///
     /// The engine prunes the partition universe down to the candidates
     /// that may hold a match (by user and time window) and hands only
-    /// those to the backend; the backend narrows further column- or
-    /// index-wise. Buffered (not yet flushed) samples are included, so
+    /// those to the backend; the backend narrows further by columns or
+    /// by document query. Buffered (not yet flushed) samples are included, so
     /// reads observe writes regardless of flush timing. Results are in
     /// global ingest order.
     pub fn scan(&self, query: &SampleQuery) -> Vec<SampleRecord> {

@@ -7,17 +7,17 @@
 //! * the **document plane** — one [`Database`] of named [`Collection`]s of
 //!   JSON [`Document`]s, queried with a Mongo-style [`Query`] (`$eq`-family
 //!   comparisons, `$exists`, `$and`, and `$near`/`$within` on a
-//!   `{lat, lon}` field). Field indexes, ordered for ranges, narrow a query
-//!   before its predicate is checked on every candidate, so an indexed
-//!   plan returns exactly the full-scan result. The check runs on the
-//!   stored body, so a query copies only the documents it returns. It
-//!   holds the server's OSN actions and the applications' collections;
-//! * the **sample plane** — the append-only sensor log behind the
-//!   [`StorageBackend`] trait. The engine owns everything
+//!   `{lat, lon}` field). A collection keeps no indexes: every query is
+//!   one walk over the stored bodies in id order, checking the predicate
+//!   on each body where it is stored, so a query copies only the
+//!   documents it returns. It holds the server's OSN actions and the
+//!   applications' collections;
+//! * the **sample plane** — the append-only sensor log behind a
+//!   crate-private backend seam. The engine owns everything
 //!   backend-independent: global sequencing, batch ingest, partition
 //!   planning with predicate pushdown, and the `storage.*` telemetry
 //!   scope. Two backends ship:
-//!   * [`BackendKind::Document`] — samples as indexed rows of a `samples`
+//!   * [`BackendKind::Document`] — samples as rows of a `samples`
 //!     collection (the historical layout);
 //!   * [`BackendKind::Columnar`] — samples as append-only column chunks
 //!     partitioned by (user, virtual-time window), scanned column-first.
@@ -69,12 +69,11 @@ mod database;
 mod document;
 mod engine;
 mod factory;
-mod index;
 mod query;
 mod sample;
 
-pub use backend::{BackendKind, StorageBackend, StorageFootprint};
-pub use collection::{Collection, CollectionStats};
+pub use backend::{BackendKind, StorageFootprint};
+pub use collection::Collection;
 pub use database::Database;
 pub use document::{Document, DocumentId};
 pub use engine::{FlushSummary, StorageEngine};

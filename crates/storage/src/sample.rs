@@ -7,8 +7,8 @@
 //! when, which modality) plus the canonical JSON payload for full fidelity.
 //! Queries against the sample log are expressed as a [`SampleQuery`] — a
 //! conjunction of per-column predicates — whose [`SampleQuery::matches`] is
-//! the single arbiter of membership for *every* backend, so indexed,
-//! columnar and full-scan paths cannot disagree.
+//! the single arbiter of membership for *every* backend, so the document
+//! and columnar paths cannot disagree.
 
 use sensocial_runtime::json::{self, Map, Value};
 use sensocial_runtime::Timestamp;

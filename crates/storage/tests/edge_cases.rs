@@ -1,4 +1,4 @@
-//! Query-planner edge cases: empty collections and geo boundary radii.
+//! Query edge cases: empty collections and geo boundary radii.
 
 use sensocial_runtime::json;
 use sensocial_storage::{CmpOp, Collection, Query};
@@ -7,9 +7,6 @@ use sensocial_types::geo::cities;
 #[test]
 fn empty_collection_answers_every_query_shape() {
     let c = Collection::new("empty");
-    c.create_index("home");
-    c.create_index("age");
-
     assert_eq!(c.len(), 0);
     assert!(c.find(&Query::All).is_empty());
     assert!(c.find(&Query::eq("home", "Paris")).is_empty());
@@ -33,20 +30,6 @@ fn empty_collection_answers_every_query_shape() {
         ]))
         .is_empty());
     assert_eq!(c.update_set(&Query::All, &[("home", json!("x"))]), 0);
-}
-
-#[test]
-fn empty_collection_matches_unindexed_twin() {
-    let indexed = Collection::new("indexed");
-    indexed.create_index("home");
-    let plain = Collection::new("plain");
-    for q in [
-        Query::All,
-        Query::eq("home", "Paris"),
-        Query::near("loc", cities::paris(), 10_000.0),
-    ] {
-        assert_eq!(indexed.count(&q), plain.count(&q));
-    }
 }
 
 /// The geo predicate is inclusive: a point at *exactly* the query radius
