@@ -16,7 +16,7 @@
 //! delivery order exactly.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -25,6 +25,7 @@ use sensocial_runtime::{Scheduler, SimDuration};
 use sensocial_telemetry::{Registry, Stage};
 use sensocial_types::intern::intern;
 
+use crate::client::DedupWindow;
 use crate::packet::{Envelope, Packet, Payload, QoS};
 use crate::topic::TopicFilter;
 
@@ -67,10 +68,6 @@ impl Default for BrokerConfig {
     }
 }
 
-/// Per-sender window of inbound QoS-1 message ids already routed, mirroring
-/// the client-side dedup window.
-const INBOUND_DEDUP_WINDOW: usize = 1_024;
-
 #[derive(Debug)]
 struct Session {
     endpoint: EndpointId,
@@ -93,30 +90,6 @@ struct PendingDelivery {
     client_id: Arc<str>,
     envelope: Envelope,
     retries_left: u32,
-}
-
-/// Dedup window for one publishing client: the set of routed message ids
-/// and their arrival order for eviction.
-#[derive(Debug, Default)]
-struct InboundWindow {
-    seen: HashSet<u64>,
-    order: VecDeque<u64>,
-}
-
-impl InboundWindow {
-    /// Records `mid`; returns `true` if it was already in the window.
-    fn check_duplicate(&mut self, mid: u64) -> bool {
-        if !self.seen.insert(mid) {
-            return true;
-        }
-        self.order.push_back(mid);
-        if self.order.len() > INBOUND_DEDUP_WINDOW {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
-        false
-    }
 }
 
 /// Every subscription, indexed for routing. Subscriptions outlive
@@ -208,7 +181,8 @@ struct Inner {
     /// Retained message per topic, shared allocations on both sides.
     retained: BTreeMap<sensocial_types::InternedTopic, Payload>,
     pending: HashMap<u64, PendingDelivery>,
-    inbound_seen: HashMap<String, InboundWindow>,
+    /// Per-sender window of inbound QoS-1 message ids already routed.
+    inbound_seen: HashMap<String, DedupWindow>,
     next_message_id: u64,
     /// Deliveries accumulated within the current virtual instant, drained
     /// FIFO by one scheduled flush ([`BrokerConfig::batch_delivery`]).

@@ -44,9 +44,34 @@ type DeadLetterHandler = Rc<dyn Fn(&mut Scheduler, u64, &str, &str)>;
 /// confirmed (`true`) or lost (`false`).
 type ConnectionListener = Rc<dyn Fn(&mut Scheduler, bool)>;
 
-/// How many broker-assigned message ids to remember for QoS-1
-/// deduplication.
+/// How many QoS-1 message ids a receiver remembers for deduplication.
 const DEDUP_WINDOW: usize = 1_024;
+
+/// The QoS-1 dedup window of one receiver: the last [`DEDUP_WINDOW`]
+/// message ids it accepted, and their arrival order for eviction. The
+/// client keeps one for the ids the broker assigns; the broker keeps one
+/// per publishing client.
+#[derive(Debug, Default)]
+pub(crate) struct DedupWindow {
+    seen: HashSet<u64>,
+    order: VecDeque<u64>,
+}
+
+impl DedupWindow {
+    /// Records `mid`; returns `true` if it was already in the window.
+    pub(crate) fn check_duplicate(&mut self, mid: u64) -> bool {
+        if !self.seen.insert(mid) {
+            return true;
+        }
+        self.order.push_back(mid);
+        if self.order.len() > DEDUP_WINDOW {
+            if let Some(old) = self.order.pop_front() {
+                self.seen.remove(&old);
+            }
+        }
+        false
+    }
+}
 
 /// Consecutive unanswered keepalive probes before the connection is
 /// declared lost.
@@ -122,8 +147,7 @@ struct PendingPublish {
 struct Inner {
     client_id: String,
     subscriptions: Vec<(TopicFilter, QoS, Subscriber)>,
-    seen_ids: HashSet<u64>,
-    seen_order: VecDeque<u64>,
+    seen: DedupWindow,
     pending: HashMap<u64, PendingPublish>,
     next_message_id: u64,
     retry_timeout: SimDuration,
@@ -205,8 +229,7 @@ impl BrokerClient {
             inner: Rc::new(RefCell::new(Inner {
                 client_id,
                 subscriptions: Vec::new(),
-                seen_ids: HashSet::new(),
-                seen_order: VecDeque::new(),
+                seen: DedupWindow::default(),
                 pending: HashMap::new(),
                 next_message_id: 1,
                 retry_timeout: SimDuration::from_secs(5),
@@ -551,16 +574,9 @@ impl BrokerClient {
                     if let Some(mid) = message_id {
                         let (client_id, duplicate) = {
                             let mut inner = self.inner.borrow_mut();
-                            let duplicate = !inner.seen_ids.insert(mid);
+                            let duplicate = inner.seen.check_duplicate(mid);
                             if duplicate {
                                 inner.stats.duplicates_suppressed += 1;
-                            } else {
-                                inner.seen_order.push_back(mid);
-                                if inner.seen_order.len() > DEDUP_WINDOW {
-                                    if let Some(old) = inner.seen_order.pop_front() {
-                                        inner.seen_ids.remove(&old);
-                                    }
-                                }
                             }
                             (inner.client_id.clone(), duplicate)
                         };

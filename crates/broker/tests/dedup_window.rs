@@ -16,8 +16,10 @@ use sensocial_net::Network;
 use sensocial_runtime::prop::{check, vec_of};
 use sensocial_runtime::Scheduler;
 
-/// Must match the client's internal `DEDUP_WINDOW`; the eviction-boundary
-/// property fails if the window ever changes silently.
+/// Must match the crate's one QoS-1 dedup window (`DEDUP_WINDOW`), which
+/// the client keeps for broker-assigned ids and the broker keeps per
+/// publishing client; the eviction-boundary property fails if the window
+/// ever changes silently, on either side.
 const WINDOW: usize = 1_024;
 
 struct Harness {

@@ -19,8 +19,8 @@
 //!   server's config-ack stream (see the [`scheduler`] module docs);
 //! * [`CampaignPolicies`] / [`BackoffPolicy`] / [`RateLimitPolicy`] — the
 //!   delivery policies, all deterministic and replayable;
-//! * [`Journal`] — the append-only attempt journal in
-//!   [`sensocial_storage`]'s document plane;
+//! * [`Journal`] — the append-only journal of typed transition records,
+//!   held by the deployment so that it outlives any scheduler instance;
 //! * [`CampaignError`] — typed admission errors
 //!   ([`CampaignError::QuotaExhausted`], [`CampaignError::RateLimited`]).
 //!
@@ -39,6 +39,6 @@ mod policy;
 pub mod scheduler;
 
 pub use error::CampaignError;
-pub use journal::{Journal, JournalRecord, RecordKind, JOURNAL_COLLECTION};
+pub use journal::{Journal, JournalRecord, RecordKind};
 pub use policy::{BackoffPolicy, CampaignPolicies, RateLimitPolicy};
 pub use scheduler::{AttemptState, CampaignScheduler, CampaignSpec};

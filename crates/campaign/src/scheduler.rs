@@ -18,19 +18,19 @@
 //! epoch settles the attempt without reconfiguring twice.
 //!
 //! Every transition is journaled (see [`crate::journal`]); an instance
-//! that crashes mid-storm is replaced via [`CampaignScheduler::recover`],
-//! which rebuilds in-flight attempts, absolute backoff deadlines, quota
-//! spend and token-bucket state from the journal. Backoff jitter is
-//! derived statelessly from `(seed, campaign, occurrence, attempt)`, so
-//! the recovered instance's deadlines are byte-identical to the ones the
-//! dead instance would have computed.
+//! that crashes mid-storm is replaced via [`CampaignScheduler::recover`]
+//! over the same [`Journal`], which rebuilds in-flight attempts, absolute
+//! backoff deadlines, quota spend and token-bucket state from it. Backoff
+//! jitter is derived statelessly from `(seed, campaign, occurrence,
+//! attempt)`, so the recovered instance's deadlines are byte-identical to
+//! the ones the dead instance would have computed.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use sensocial::server::ServerManager;
-use sensocial::{ConfigAck, ConfigCommand, StorageEngine};
+use sensocial::{ConfigAck, ConfigCommand};
 use sensocial_runtime::{Scheduler, SimDuration, Timestamp};
 use sensocial_telemetry::{Registry, Snapshot};
 use sensocial_types::{DeviceId, StreamId};
@@ -174,19 +174,21 @@ impl std::fmt::Debug for CampaignScheduler {
 }
 
 impl CampaignScheduler {
-    /// Creates a fresh scheduler writing to (an empty) journal in
-    /// `storage`, hooked into `server`'s config-ack stream.
+    /// Creates a fresh scheduler journaling to `journal` (which holds no
+    /// records yet), hooked into `server`'s config-ack stream. The caller
+    /// keeps `journal` to hand to [`CampaignScheduler::recover`] after a
+    /// crash.
     pub fn new(
         server: &ServerManager,
-        storage: &StorageEngine,
+        journal: &Journal,
         policies: CampaignPolicies,
         seed: u64,
     ) -> Self {
-        Self::build(server, storage, policies, seed, false)
+        Self::build(server, journal, policies, seed, false)
     }
 
     /// Creates a replacement scheduler that rebuilds its state from the
-    /// journal a crashed predecessor left in `storage`, then hooks into
+    /// `journal` a crashed predecessor appended to, then hooks into
     /// `server`'s config-ack stream. Call [`CampaignScheduler::start`] to
     /// resume driving: overdue deadlines are redriven immediately, and
     /// already-acked occurrences are never redispatched.
@@ -196,16 +198,16 @@ impl CampaignScheduler {
     /// the recovered run byte-identical under the same seed.
     pub fn recover(
         server: &ServerManager,
-        storage: &StorageEngine,
+        journal: &Journal,
         policies: CampaignPolicies,
         seed: u64,
     ) -> Self {
-        Self::build(server, storage, policies, seed, true)
+        Self::build(server, journal, policies, seed, true)
     }
 
     fn build(
         server: &ServerManager,
-        storage: &StorageEngine,
+        journal: &Journal,
         policies: CampaignPolicies,
         seed: u64,
         replay: bool,
@@ -214,7 +216,7 @@ impl CampaignScheduler {
             server: server.clone(),
             policies,
             seed,
-            journal: Journal::open(storage),
+            journal: journal.clone(),
             telemetry: Registry::new("campaign"),
             inner: Rc::new(RefCell::new(Inner {
                 alive: true,
@@ -242,32 +244,22 @@ impl CampaignScheduler {
     ///
     /// [`CampaignError::DuplicateCampaign`] if the id is already taken.
     pub fn register(&self, sched: &mut Scheduler, spec: CampaignSpec) -> Result<(), CampaignError> {
-        let now_ms = sched.now().as_millis();
+        let now = sched.now();
         {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
             if inner.campaigns.contains_key(&spec.id) {
                 return Err(CampaignError::DuplicateCampaign(spec.id));
             }
-            let record = JournalRecord {
+            self.journal.append(JournalRecord {
                 seq: take_seq(inner),
-                at_ms: now_ms,
-                event: RecordKind::Registered {
-                    campaign: spec.id.clone(),
-                    app: spec.app.clone(),
-                    device: spec.device.as_str().to_owned(),
-                    stream: spec.stream.value(),
-                    start_ms: spec.start.as_millis(),
-                    period_ms: spec.period.as_millis(),
-                    occurrences: spec.occurrences,
-                    interval_ms: spec.interval_ms,
-                },
-            };
-            self.journal.append(&record);
+                at: now,
+                event: RecordKind::Registered(spec.clone()),
+            });
             inner
                 .buckets
                 .entry(spec.app.clone())
-                .or_insert_with(|| TokenBucket::new(self.policies.rate, now_ms));
+                .or_insert_with(|| TokenBucket::new(self.policies.rate, now.as_millis()));
             inner.campaigns.insert(spec.id.clone(), spec);
         }
         self.telemetry.count("registered");
@@ -282,8 +274,8 @@ impl CampaignScheduler {
     }
 
     /// Kills this instance: its ack listener and pending timers become
-    /// inert. The journal survives in storage; a replacement rebuilds from
-    /// it via [`CampaignScheduler::recover`].
+    /// inert. The journal outlives it; a replacement rebuilds from it via
+    /// [`CampaignScheduler::recover`].
     pub fn crash(&self) {
         self.inner.borrow_mut().alive = false;
         self.telemetry.count("crashed");
@@ -481,7 +473,7 @@ impl CampaignScheduler {
     /// Runs admission control and, if admitted, pushes the occurrence's
     /// reconfiguration through the server's config pipeline.
     fn dispatch(&self, sched: &mut Scheduler, campaign: &str, occ: u32, attempt: u32) {
-        let now_ms = sched.now().as_millis();
+        let now = sched.now();
         let key = (campaign.to_owned(), occ);
         let spec = {
             let mut inner = self.inner.borrow_mut();
@@ -489,42 +481,21 @@ impl CampaignScheduler {
             let Some(spec) = inner.campaigns.get(campaign).cloned() else {
                 return;
             };
-            match self.admit(inner, now_ms, &spec.app) {
+            match self.admit(inner, now.as_millis(), &spec.app) {
                 Ok(()) => {}
                 Err(CampaignError::QuotaExhausted { app, quota }) => {
                     let reason =
                         format!("quota exhausted: app `{app}` spent its {quota} dispatches");
-                    let record = JournalRecord {
-                        seq: take_seq(inner),
-                        at_ms: now_ms,
-                        event: RecordKind::DeadLettered {
-                            campaign: campaign.to_owned(),
-                            occurrence: occ,
-                            reason: reason.clone(),
-                        },
-                    };
-                    self.journal.append(&record);
-                    inner
-                        .attempts
-                        .insert(key, AttemptState::DeadLettered { reason });
+                    self.enter(inner, now, key, AttemptState::DeadLettered { reason });
                     self.telemetry.count("quota_exhausted");
                     self.telemetry.count("dead_lettered");
                     self.update_in_flight(inner);
                     return;
                 }
                 Err(CampaignError::RateLimited { retry_at_ms, .. }) => {
-                    let record = JournalRecord {
-                        seq: take_seq(inner),
-                        at_ms: now_ms,
-                        event: RecordKind::RateLimited {
-                            campaign: campaign.to_owned(),
-                            occurrence: occ,
-                            attempt,
-                            next_ms: retry_at_ms,
-                        },
-                    };
-                    self.journal.append(&record);
-                    inner.attempts.insert(
+                    self.enter(
+                        inner,
+                        now,
                         key,
                         AttemptState::Retrying {
                             next_attempt: attempt,
@@ -554,23 +525,11 @@ impl CampaignScheduler {
         {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
-            let record = JournalRecord {
-                seq: take_seq(inner),
-                at_ms: now_ms,
-                event: RecordKind::Dispatched {
-                    campaign: campaign.to_owned(),
-                    occurrence: occ,
-                    attempt,
-                    epoch,
-                    deadline_ms: deadline.as_millis(),
-                },
-            };
-            self.journal.append(&record);
-            inner
-                .tokens
-                .insert(spec.token(occ), (campaign.to_owned(), occ));
-            inner.attempts.insert(
-                (campaign.to_owned(), occ),
+            inner.tokens.insert(spec.token(occ), key.clone());
+            self.enter(
+                inner,
+                now,
+                key,
                 AttemptState::Dispatched {
                     attempt,
                     epoch,
@@ -623,19 +582,7 @@ impl CampaignScheduler {
         };
         if attempt >= self.policies.max_attempts {
             let reason = format!("{cause} after {attempt} attempts");
-            let record = JournalRecord {
-                seq: take_seq(inner),
-                at_ms: now.as_millis(),
-                event: RecordKind::DeadLettered {
-                    campaign: campaign.to_owned(),
-                    occurrence: occ,
-                    reason: reason.clone(),
-                },
-            };
-            self.journal.append(&record);
-            inner
-                .attempts
-                .insert(key, AttemptState::DeadLettered { reason });
+            self.enter(inner, now, key, AttemptState::DeadLettered { reason });
             self.telemetry.count("dead_lettered");
         } else {
             let next_at = now
@@ -643,18 +590,9 @@ impl CampaignScheduler {
                     .policies
                     .backoff
                     .delay(self.seed, campaign, occ, attempt);
-            let record = JournalRecord {
-                seq: take_seq(inner),
-                at_ms: now.as_millis(),
-                event: RecordKind::Retrying {
-                    campaign: campaign.to_owned(),
-                    occurrence: occ,
-                    next_attempt: attempt + 1,
-                    next_ms: next_at.as_millis(),
-                },
-            };
-            self.journal.append(&record);
-            inner.attempts.insert(
+            self.enter(
+                inner,
+                now,
                 key,
                 AttemptState::Retrying {
                     next_attempt: attempt + 1,
@@ -695,12 +633,12 @@ impl CampaignScheduler {
                 Some(AttemptState::Dispatched { at, .. }) if ack.accepted => {
                     self.telemetry
                         .observe_named("ack_ms", sched.now().saturating_since(at).as_millis());
-                    self.settle_ack(inner, sched.now(), &key, ack.epoch);
+                    self.settle_ack(inner, sched.now(), key, ack.epoch);
                 }
                 Some(AttemptState::Retrying { .. }) if ack.accepted => {
                     // A late ack beat the pending retry: the device did
                     // apply the command. Settle; the retry never fires.
-                    self.settle_ack(inner, sched.now(), &key, ack.epoch);
+                    self.settle_ack(inner, sched.now(), key, ack.epoch);
                 }
                 Some(AttemptState::Dispatched { .. }) => {
                     // Negative ack: the device rejected the command.
@@ -719,22 +657,24 @@ impl CampaignScheduler {
     }
 
     /// Marks `key` acked, journaling the transition.
-    fn settle_ack(&self, inner: &mut Inner, now: Timestamp, key: &(String, u32), epoch: u64) {
-        let record = JournalRecord {
-            seq: take_seq(inner),
-            at_ms: now.as_millis(),
-            event: RecordKind::Acked {
-                campaign: key.0.clone(),
-                occurrence: key.1,
-                epoch,
-            },
-        };
-        self.journal.append(&record);
-        inner
-            .attempts
-            .insert(key.clone(), AttemptState::Acked { epoch });
+    fn settle_ack(&self, inner: &mut Inner, now: Timestamp, key: (String, u32), epoch: u64) {
+        self.enter(inner, now, key, AttemptState::Acked { epoch });
         self.telemetry.count("acked");
         self.update_in_flight(inner);
+    }
+
+    /// Moves `key` into `state`: journals the transition, then records it.
+    fn enter(&self, inner: &mut Inner, at: Timestamp, key: (String, u32), state: AttemptState) {
+        self.journal.append(JournalRecord {
+            seq: take_seq(inner),
+            at,
+            event: RecordKind::Transition {
+                campaign: key.0.clone(),
+                occurrence: key.1,
+                state: state.clone(),
+            },
+        });
+        inner.attempts.insert(key, state);
     }
 
     /// Arms (or tightens) the wake-up timer to the earliest future event:
@@ -805,13 +745,13 @@ impl CampaignScheduler {
     // Recovery
     // ------------------------------------------------------------------
 
-    /// Rebuilds all volatile state from the journal, in sequence order.
+    /// Rebuilds all volatile state from the journal, in sequence order:
+    /// the journaled specs and states go back in as they are, and each
+    /// dispatch repeats its bucket take and quota spend.
     ///
     /// Telemetry is *not* replayed — counters describe what an instance
     /// did, and the crashed instance already counted its own actions; an
     /// outcome merge across instances sums them without double counting.
-    /// Bucket and quota state *are* replayed, by repeating the journaled
-    /// take sequence against fresh integer buckets.
     fn replay_journal(&self) {
         let records = self.journal.replay();
         let replayed = records.len() as u64;
@@ -819,108 +759,33 @@ impl CampaignScheduler {
         let inner = &mut *inner;
         for record in records {
             inner.next_seq = inner.next_seq.max(record.seq + 1);
+            let at_ms = record.at.as_millis();
             match record.event {
-                RecordKind::Registered {
-                    campaign,
-                    app,
-                    device,
-                    stream,
-                    start_ms,
-                    period_ms,
-                    occurrences,
-                    interval_ms,
-                } => {
+                RecordKind::Registered(spec) => {
                     inner
                         .buckets
-                        .entry(app.clone())
-                        .or_insert_with(|| TokenBucket::new(self.policies.rate, record.at_ms));
-                    inner.campaigns.insert(
-                        campaign.clone(),
-                        CampaignSpec {
-                            id: campaign,
-                            app,
-                            device: DeviceId::new(device),
-                            stream: StreamId::new(stream),
-                            start: Timestamp::from_millis(start_ms),
-                            period: SimDuration::from_millis(period_ms),
-                            occurrences,
-                            interval_ms,
-                        },
-                    );
+                        .entry(spec.app.clone())
+                        .or_insert_with(|| TokenBucket::new(self.policies.rate, at_ms));
+                    inner.campaigns.insert(spec.id.clone(), spec);
                 }
-                RecordKind::Dispatched {
+                RecordKind::Transition {
                     campaign,
                     occurrence,
-                    attempt,
-                    epoch,
-                    deadline_ms,
+                    state,
                 } => {
-                    self.replay_bucket_take(inner, &campaign, record.at_ms, true);
-                    inner.tokens.insert(
-                        format!("{campaign}/{occurrence}"),
-                        (campaign.clone(), occurrence),
-                    );
-                    inner.attempts.insert(
-                        (campaign, occurrence),
-                        AttemptState::Dispatched {
-                            attempt,
-                            epoch,
-                            at: Timestamp::from_millis(record.at_ms),
-                            deadline: Timestamp::from_millis(deadline_ms),
-                        },
-                    );
-                }
-                RecordKind::RateLimited {
-                    campaign,
-                    occurrence,
-                    attempt,
-                    next_ms,
-                } => {
-                    self.replay_bucket_take(inner, &campaign, record.at_ms, false);
-                    inner.attempts.insert(
-                        (campaign, occurrence),
-                        AttemptState::Retrying {
-                            next_attempt: attempt,
-                            next_at: Timestamp::from_millis(next_ms),
-                        },
-                    );
-                }
-                RecordKind::Retrying {
-                    campaign,
-                    occurrence,
-                    next_attempt,
-                    next_ms,
-                } => {
-                    inner.attempts.insert(
-                        (campaign, occurrence),
-                        AttemptState::Retrying {
-                            next_attempt,
-                            next_at: Timestamp::from_millis(next_ms),
-                        },
-                    );
-                }
-                RecordKind::Acked {
-                    campaign,
-                    occurrence,
-                    epoch,
-                } => {
-                    inner.tokens.insert(
-                        format!("{campaign}/{occurrence}"),
-                        (campaign.clone(), occurrence),
-                    );
-                    inner
-                        .attempts
-                        .insert((campaign, occurrence), AttemptState::Acked { epoch });
-                }
-                RecordKind::DeadLettered {
-                    campaign,
-                    occurrence,
-                    reason,
-                } => {
-                    inner.attempts.insert(
-                        (campaign, occurrence),
-                        AttemptState::DeadLettered { reason },
-                    );
+                    let key = (campaign, occurrence);
+                    if matches!(state, AttemptState::Dispatched { .. }) {
+                        self.replay_bucket_take(inner, &key.0, at_ms);
+                    }
+                    if matches!(
+                        state,
+                        AttemptState::Dispatched { .. } | AttemptState::Acked { .. }
+                    ) {
+                        inner
+                            .tokens
+                            .insert(format!("{}/{}", key.0, key.1), key.clone());
+                    }
+                    inner.attempts.insert(key, state);
                 }
             }
         }
@@ -928,20 +793,18 @@ impl CampaignScheduler {
         self.telemetry.count_by("recovered_records", replayed);
     }
 
-    /// Repeats a journaled bucket interaction: a successful take for a
-    /// `Dispatched` record (also spending quota), a failed take for a
-    /// `RateLimited` one. Either way the bucket's refill accounting
-    /// advances exactly as it did in the original instance.
-    fn replay_bucket_take(&self, inner: &mut Inner, campaign: &str, at_ms: u64, spend: bool) {
+    /// Repeats a journaled dispatch's admission: one bucket take and one
+    /// quota spend, so the bucket's refill accounting advances exactly as
+    /// it did in the original instance. A rate-limited dispatch needs no
+    /// replay: a refused take leaves nothing a later take or probe reads.
+    fn replay_bucket_take(&self, inner: &mut Inner, campaign: &str, at_ms: u64) {
         let Some(app) = inner.campaigns.get(campaign).map(|s| s.app.clone()) else {
             return;
         };
         if let Some(bucket) = inner.buckets.get_mut(&app) {
             let _ = bucket.try_take(at_ms);
         }
-        if spend {
-            *inner.dispatch_counts.entry(app).or_insert(0) += 1;
-        }
+        *inner.dispatch_counts.entry(app).or_insert(0) += 1;
     }
 }
 

@@ -1,40 +1,44 @@
 //! End-to-end campaign lifecycle tests against a full deployment (broker,
 //! simulated network, client manager, server manager, storage): delivery,
-//! duplicate registration, quotas, rate limits, negative acks, and the
-//! two crash/failover shapes — ack lost while the scheduler is dead
+//! duplicate registration, quotas, rate limits, negative acks, the two
+//! crash/failover shapes — ack lost while the scheduler is dead
 //! (redispatch + device-side dedup) and immediate failover (the
-//! replacement settles the in-flight ack without redispatching).
+//! replacement settles the in-flight ack without redispatching) — and
+//! recovery of every transition kind the journal holds.
 
 use sensocial::client::{ClientDeps, ClientManager};
 use sensocial::server::{ServerDeps, ServerManager};
-use sensocial::{Granularity, Modality, PrivacyPolicyManager, StreamSink, StreamSpec};
+use sensocial::{
+    Granularity, Modality, PrivacyPolicyManager, StorageConfig, StreamSink, StreamSpec,
+};
 use sensocial_broker::{Broker, BrokerClient};
 use sensocial_campaign::{
-    AttemptState, CampaignError, CampaignPolicies, CampaignScheduler, CampaignSpec, RateLimitPolicy,
+    AttemptState, CampaignError, CampaignPolicies, CampaignScheduler, CampaignSpec, Journal,
+    RateLimitPolicy,
 };
 use sensocial_energy::{BatteryMeter, CpuCosts, CpuMeter, EnergyProfile, MemoryProfiler};
 use sensocial_net::Network;
 use sensocial_runtime::{Scheduler, SimDuration, SimRng, Timestamp};
 use sensocial_sensors::{DeviceEnvironment, SensorManager};
-use sensocial_storage::{StorageConfig, StorageEngine};
 use sensocial_types::geo::cities;
 use sensocial_types::{DeviceId, StreamId, UserId};
 
+/// A deployment whose journal outlives any scheduler instance, as the
+/// server's process state would.
 struct Deployment {
     sched: Scheduler,
     net: Network,
     server: ServerManager,
-    storage: StorageEngine,
+    journal: Journal,
 }
 
 fn deployment(seed: u64) -> Deployment {
     let mut sched = Scheduler::new();
     let net = Network::new(seed);
     let _broker = Broker::new(&net, "broker");
-    let storage = StorageConfig::from_env().open();
     let server_client = BrokerClient::new(&net, "server-ep", "broker", "server");
     let server = ServerManager::new(ServerDeps::new(
-        storage.clone(),
+        StorageConfig::from_env().open(),
         server_client,
         SimRng::seed_from(seed ^ 0xA5),
     ));
@@ -43,7 +47,7 @@ fn deployment(seed: u64) -> Deployment {
         sched,
         net,
         server,
-        storage,
+        journal: Journal::new(),
     }
 }
 
@@ -106,7 +110,7 @@ fn every_occurrence_is_applied_exactly_once() {
     let mut d = deployment(11);
     let manager = add_device(&mut d, "alice", "p1");
     let stream = sensing_stream(&mut d, &manager);
-    let campaigns = CampaignScheduler::new(&d.server, &d.storage, CampaignPolicies::default(), 11);
+    let campaigns = CampaignScheduler::new(&d.server, &d.journal, CampaignPolicies::default(), 11);
     campaigns
         .register(&mut d.sched, campaign("camp-a", "p1", stream, 10, 60, 3))
         .expect("register");
@@ -135,7 +139,7 @@ fn duplicate_campaign_ids_are_rejected() {
     let mut d = deployment(3);
     let manager = add_device(&mut d, "alice", "p1");
     let stream = sensing_stream(&mut d, &manager);
-    let campaigns = CampaignScheduler::new(&d.server, &d.storage, CampaignPolicies::default(), 3);
+    let campaigns = CampaignScheduler::new(&d.server, &d.journal, CampaignPolicies::default(), 3);
     campaigns
         .register(&mut d.sched, campaign("camp-a", "p1", stream, 10, 60, 1))
         .expect("first registration");
@@ -154,7 +158,7 @@ fn quota_exhaustion_dead_letters_the_rest() {
         quota_per_app: 2,
         ..CampaignPolicies::default()
     };
-    let campaigns = CampaignScheduler::new(&d.server, &d.storage, policies, 5);
+    let campaigns = CampaignScheduler::new(&d.server, &d.journal, policies, 5);
     campaigns
         .register(&mut d.sched, campaign("camp-a", "p1", stream, 5, 20, 4))
         .expect("register");
@@ -191,7 +195,7 @@ fn rate_limit_defers_without_dropping() {
         rate: RateLimitPolicy::new(1, 30_000),
         ..CampaignPolicies::default()
     };
-    let campaigns = CampaignScheduler::new(&d.server, &d.storage, policies, 9);
+    let campaigns = CampaignScheduler::new(&d.server, &d.journal, policies, 9);
     campaigns
         .register(&mut d.sched, campaign("camp-a", "p1", stream, 5, 1, 3))
         .expect("register");
@@ -221,7 +225,7 @@ fn admission_probe_surfaces_typed_errors() {
         quota_per_app: 0,
         ..CampaignPolicies::default()
     };
-    let campaigns = CampaignScheduler::new(&d.server, &d.storage, zero_quota, 2);
+    let campaigns = CampaignScheduler::new(&d.server, &d.journal, zero_quota, 2);
     assert!(matches!(
         campaigns.admission(Timestamp::ZERO, "birdwatch"),
         Err(CampaignError::QuotaExhausted { quota: 0, .. })
@@ -231,7 +235,7 @@ fn admission_probe_surfaces_typed_errors() {
         rate: RateLimitPolicy::new(0, 100),
         ..CampaignPolicies::default()
     };
-    let campaigns = CampaignScheduler::new(&d.server, &d.storage, throttled, 2);
+    let campaigns = CampaignScheduler::new(&d.server, &d.journal, throttled, 2);
     match campaigns.admission(Timestamp::from_millis(50), "birdwatch") {
         Err(CampaignError::RateLimited { retry_at_ms, .. }) => assert!(retry_at_ms > 50),
         other => panic!("expected RateLimited, got {other:?}"),
@@ -252,7 +256,7 @@ fn rejected_commands_retry_then_dead_letter() {
         max_attempts: 2,
         ..CampaignPolicies::default()
     };
-    let campaigns = CampaignScheduler::new(&d.server, &d.storage, policies, 21);
+    let campaigns = CampaignScheduler::new(&d.server, &d.journal, policies, 21);
     // Stream 999 does not exist on the device: every dispatch is nacked.
     campaigns
         .register(
@@ -293,7 +297,7 @@ fn run_crash_failover(seed: u64) -> (u64, u64, u64, String) {
     let manager = add_device(&mut d, "alice", "p1");
     let stream = sensing_stream(&mut d, &manager);
     let policies = CampaignPolicies::default();
-    let primary = CampaignScheduler::new(&d.server, &d.storage, policies, seed);
+    let primary = CampaignScheduler::new(&d.server, &d.journal, policies, seed);
     primary
         .register(&mut d.sched, campaign("camp-a", "p1", stream, 5, 30, 5))
         .expect("register");
@@ -329,7 +333,7 @@ fn run_crash_failover(seed: u64) -> (u64, u64, u64, String) {
     // Failover: rebuild from the journal. The in-flight attempt comes
     // back with its absolute deadline (already past), so start() redrives
     // it; the device re-acks without re-applying.
-    let replacement = CampaignScheduler::recover(&d.server, &d.storage, policies, seed);
+    let replacement = CampaignScheduler::recover(&d.server, &d.journal, policies, seed);
     assert!(matches!(
         replacement.state("camp-a", 0),
         Some(AttemptState::Dispatched { .. })
@@ -375,7 +379,7 @@ fn immediate_failover_settles_in_flight_acks_without_redispatch() {
     let manager = add_device(&mut d, "alice", "p1");
     let stream = sensing_stream(&mut d, &manager);
     let policies = CampaignPolicies::default();
-    let primary = CampaignScheduler::new(&d.server, &d.storage, policies, 23);
+    let primary = CampaignScheduler::new(&d.server, &d.journal, policies, 23);
     primary
         .register(&mut d.sched, campaign("camp-a", "p1", stream, 5, 30, 5))
         .expect("register");
@@ -384,7 +388,7 @@ fn immediate_failover_settles_in_flight_acks_without_redispatch() {
     // Crash with occ 2 in flight and fail over immediately.
     d.sched.run_until(Timestamp::from_millis(65_010));
     primary.crash();
-    let replacement = CampaignScheduler::recover(&d.server, &d.storage, policies, 23);
+    let replacement = CampaignScheduler::recover(&d.server, &d.journal, policies, 23);
     assert!(matches!(
         replacement.state("camp-a", 0),
         Some(AttemptState::Acked { .. })
@@ -416,4 +420,99 @@ fn immediate_failover_settles_in_flight_acks_without_redispatch() {
         0,
         "zero duplicated"
     );
+}
+
+/// Runs one scheduler to `crash_ms` over a healthy campaign and one whose
+/// every dispatch is nacked, crashes it and recovers a replacement from
+/// the same journal. Returns both instances and the crash instant.
+fn crash_and_recover(
+    policies: CampaignPolicies,
+    crash_ms: u64,
+) -> (CampaignScheduler, CampaignScheduler, Timestamp) {
+    let mut d = deployment(31);
+    let manager = add_device(&mut d, "alice", "p1");
+    let stream = sensing_stream(&mut d, &manager);
+    let primary = CampaignScheduler::new(&d.server, &d.journal, policies, 31);
+    primary
+        .register(&mut d.sched, campaign("camp-a", "p1", stream, 5, 10, 4))
+        .expect("register");
+    // Stream 999 does not exist on the device: every dispatch is nacked.
+    primary
+        .register(
+            &mut d.sched,
+            campaign("camp-bad", "p1", StreamId::new(999), 5, 10, 3),
+        )
+        .expect("register");
+    d.sched.run_until(Timestamp::from_millis(crash_ms));
+    primary.crash();
+    let replacement = CampaignScheduler::recover(&d.server, &d.journal, policies, 31);
+    (primary, replacement, d.sched.now())
+}
+
+/// The replacement answers every query exactly as the crashed instance
+/// would have: each occurrence's state, the terminal counts, and the
+/// admission verdict (quota spend and token-bucket state) now and later.
+fn assert_recovered(primary: &CampaignScheduler, replacement: &CampaignScheduler, now: Timestamp) {
+    for (campaign, occurrences) in [("camp-a", 4), ("camp-bad", 3)] {
+        for occ in 0..occurrences {
+            assert_eq!(
+                replacement.state(campaign, occ),
+                primary.state(campaign, occ),
+                "{campaign}/{occ} at {now:?}"
+            );
+        }
+    }
+    assert_eq!(replacement.acked(), primary.acked());
+    assert_eq!(replacement.dead_lettered(), primary.dead_lettered());
+    for later_ms in [0, 1, 6_999, 7_000, 10_000, 20_000, 40_000] {
+        let at = now + SimDuration::from_millis(later_ms);
+        assert_eq!(
+            replacement.admission(at, "birdwatch"),
+            primary.admission(at, "birdwatch"),
+            "admission at {at:?} after a crash at {now:?}"
+        );
+    }
+}
+
+#[test]
+fn recovery_rebuilds_every_transition_kind() {
+    let policies = CampaignPolicies {
+        max_attempts: 2,
+        quota_per_app: 5,
+        rate: RateLimitPolicy::new(1, 20_000),
+        ..CampaignPolicies::default()
+    };
+    let mut last = None;
+    for crash_ms in [5_500, 31_000, 90_000, 300_000] {
+        let (primary, replacement, now) = crash_and_recover(policies, crash_ms);
+        assert_recovered(&primary, &replacement, now);
+        last = Some(primary);
+    }
+    let snap = last.expect("at least one crash instant").snapshot();
+    for key in [
+        "rate_limited",
+        "retried",
+        "quota_exhausted",
+        "nacked",
+        "acked",
+    ] {
+        assert!(
+            snap.counter(&format!("campaign.{key}")) > 0,
+            "campaign.{key} never fired"
+        );
+    }
+}
+
+#[test]
+fn recovery_keeps_a_zero_capacity_limiter_refusing() {
+    let policies = CampaignPolicies {
+        rate: RateLimitPolicy::new(0, 7_000),
+        ..CampaignPolicies::default()
+    };
+    for crash_ms in [5_500, 31_000] {
+        let (primary, replacement, now) = crash_and_recover(policies, crash_ms);
+        assert!(primary.snapshot().counter("campaign.rate_limited") > 0);
+        assert_eq!(primary.snapshot().counter("campaign.dispatched"), 0);
+        assert_recovered(&primary, &replacement, now);
+    }
 }

@@ -11,7 +11,7 @@ use std::rc::Rc;
 use sensocial::server::StreamSelector;
 use sensocial::{Filter, StreamId, StreamMode, TelemetrySnapshot};
 use sensocial_broker::ReconnectPolicy;
-use sensocial_campaign::{CampaignPolicies, CampaignScheduler, CampaignSpec};
+use sensocial_campaign::{CampaignPolicies, CampaignScheduler, CampaignSpec, Journal};
 use sensocial_net::{EndpointId, FaultWindow};
 use sensocial_runtime::{SimDuration, Timestamp};
 use sensocial_types::{DeviceId, GeoPoint};
@@ -23,9 +23,11 @@ use crate::{World, WorldConfig};
 
 /// The campaign-scheduler side of a scenario run: every instance ever
 /// stood up (crashed ones keep their telemetry, which merges into the
-/// outcome), the policies/seed a recovery must be handed again, and the
-/// continuous stream each device's campaign reconfigures.
+/// outcome), the journal and policies/seed a recovery must be handed
+/// again, and the continuous stream each device's campaign reconfigures.
 struct CampaignRig {
+    /// Outlives every instance, as the deployment's durable state.
+    journal: Journal,
     policies: CampaignPolicies,
     seed: u64,
     /// All instances in stand-up order; the live one is last.
@@ -77,16 +79,20 @@ pub fn run_schedule(
         ..WorldConfig::default()
     });
 
-    let mut rig = spec.campaign.map(|c| CampaignRig {
-        policies: c.policies(),
-        seed: spec.seed,
-        instances: vec![CampaignScheduler::new(
-            &world.server,
-            world.server.storage(),
-            c.policies(),
-            spec.seed,
-        )],
-        streams: BTreeMap::new(),
+    let mut rig = spec.campaign.map(|c| {
+        let journal = Journal::new();
+        CampaignRig {
+            instances: vec![CampaignScheduler::new(
+                &world.server,
+                &journal,
+                c.policies(),
+                spec.seed,
+            )],
+            journal,
+            policies: c.policies(),
+            seed: spec.seed,
+            streams: BTreeMap::new(),
+        }
     });
 
     let deliveries = Rc::new(Cell::new(0));
@@ -286,12 +292,8 @@ fn apply(
         }
         ScheduledAction::RecoverScheduler => {
             if let Some(rig) = rig {
-                let recovered = CampaignScheduler::recover(
-                    &world.server,
-                    world.server.storage(),
-                    rig.policies,
-                    rig.seed,
-                );
+                let recovered =
+                    CampaignScheduler::recover(&world.server, &rig.journal, rig.policies, rig.seed);
                 recovered.start(&mut world.sched);
                 rig.instances.push(recovered);
             }

@@ -322,7 +322,7 @@ fn scan_manifest(file: &str, content: &str, local: &[String]) -> Vec<Violation> 
 }
 
 /// The workspace root: two levels above this crate's manifest.
-fn repo_root() -> PathBuf {
+pub(crate) fn repo_root() -> PathBuf {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
     match manifest.parent().and_then(Path::parent) {
         Some(root) => root.to_owned(),

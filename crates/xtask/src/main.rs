@@ -1,7 +1,8 @@
 //! Repository maintenance tasks, invoked as `cargo run -p xtask -- <task>`.
 //!
 //! Std-only on purpose: the gate must build and run in any environment the
-//! workspace builds in, with no extra dependencies to fetch.
+//! workspace builds in, with no extra dependencies to fetch. Its one
+//! dependency, `sensocial-loc`, is a std-only workspace crate.
 
 #![forbid(unsafe_code)]
 
@@ -17,7 +18,10 @@ tasks:
                    in serialization paths) and manifests for crates from
                    outside the repository; exit 0 = clean, 1 = findings,
                    2 = internal error; --json emits findings as JSON on
-                   stdout";
+                   stdout
+  loc              print the code-line total (comments and blanks
+                   excluded) over crates/, tests/ and examples/, as
+                   sensocial-loc counts it";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -35,6 +39,13 @@ fn main() -> ExitCode {
             }
             lint::run(json)
         }
+        Some("loc") => match args.next() {
+            None => loc(),
+            Some(flag) => {
+                eprintln!("xtask loc: unknown flag `{flag}`\n{USAGE}");
+                ExitCode::from(2)
+            }
+        },
         Some(other) => {
             eprintln!("xtask: unknown task `{other}`\n{USAGE}");
             ExitCode::from(2)
@@ -44,4 +55,21 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// Prints the workspace's code-line total, the figure the roadmap tracks.
+fn loc() -> ExitCode {
+    let root = lint::repo_root();
+    let mut total = 0;
+    for dir in ["crates", "tests", "examples"] {
+        match sensocial_loc::count_tree(&root.join(dir)) {
+            Ok(report) => total += report.totals.code,
+            Err(e) => {
+                eprintln!("xtask loc: cannot count {dir}/: {e}");
+                return ExitCode::from(2);
+            }
+        }
+    }
+    println!("{total}");
+    ExitCode::SUCCESS
 }
