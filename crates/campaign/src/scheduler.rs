@@ -233,7 +233,10 @@ impl CampaignScheduler {
             scheduler.replay_journal();
         }
         let hook = scheduler.clone();
-        server.register_ack_listener(move |sched, ack| hook.on_ack(sched, ack));
+        server.register_ack_listener(move |sched, ack| {
+            hook.on_ack(sched, ack);
+            hook.is_alive()
+        });
         scheduler
     }
 
@@ -605,7 +608,8 @@ impl CampaignScheduler {
     }
 
     /// Settles attempts from the server's config-ack stream. Registered as
-    /// an ack listener on construction; inert once this instance crashed.
+    /// an ack listener on construction; inert once this instance crashed,
+    /// and unregistered at the first ack after that.
     fn on_ack(&self, sched: &mut Scheduler, ack: &ConfigAck) {
         let Some(token) = &ack.token else {
             // Plain (non-campaign) config traffic; not ours.

@@ -1,10 +1,15 @@
 //! Property-based tests for the stock classifiers.
 
-use sensocial_classify::{ActivityClassifier, AudioClassifier, Classifier, PlaceClassifier};
+use sensocial_classify::{
+    magnitude_mean, magnitude_std, ActivityClassifier, AudioClassifier, Classifier, PlaceClassifier,
+};
 use sensocial_runtime::prop::check;
+use sensocial_runtime::{Scheduler, SimRng};
+use sensocial_sensors::{DeviceEnvironment, SensorManager};
 use sensocial_types::geo::{cities, GeoFence};
 use sensocial_types::{
-    AccelSample, AudioFrame, ClassifiedContext, GpsFix, PhysicalActivity, Place, RawSample,
+    AccelSample, AudioFrame, ClassifiedContext, GpsFix, Modality, PhysicalActivity, Place,
+    RawSample,
 };
 
 fn burst(amplitude: f64, n: usize) -> RawSample {
@@ -33,6 +38,56 @@ fn activity_is_monotone_in_amplitude() {
         };
         assert!(rank(&burst(lo, n)) <= rank(&burst(hi, n)));
     });
+}
+
+/// The bursts the sensor substrate synthesises, as the stock activity
+/// classifier sees them. Per activity, the magnitude mean and std averaged
+/// over 500 bursts stay where the Box–Muller synthesis put them (mean
+/// within 0.01 m/s², std within 2%), and every burst's std keeps 0.25 m/s²
+/// from both thresholds, so no label turns on which normal sampler made
+/// the noise.
+#[test]
+fn substrate_bursts_keep_their_statistics_and_margins() {
+    let mut sched = Scheduler::new();
+    let env = DeviceEnvironment::new(cities::paris());
+    let sensors = SensorManager::new(env.clone(), SimRng::seed_from(11));
+    let classifier = ActivityClassifier::default();
+    let bursts = 500;
+    // The averages Box–Muller noise gave these same bursts.
+    for (truth, box_muller_mean, box_muller_std) in [
+        (PhysicalActivity::Still, 9.811, 0.0798),
+        (PhysicalActivity::Walking, 9.826, 1.2720),
+        (PhysicalActivity::Running, 9.993, 3.7845),
+    ] {
+        env.set_activity(truth);
+        let (mut mean_sum, mut std_sum) = (0.0, 0.0);
+        for _ in 0..bursts {
+            let RawSample::Accelerometer(burst) =
+                sensors.sample_once(&mut sched, Modality::Accelerometer)
+            else {
+                panic!("{truth:?}: the accelerometer gave no burst");
+            };
+            let std = magnitude_std(&burst);
+            for threshold in [classifier.still_threshold, classifier.running_threshold] {
+                assert!(
+                    (std - threshold).abs() >= 0.25,
+                    "{truth:?}: burst std {std} within 0.25 of threshold {threshold}"
+                );
+            }
+            mean_sum += magnitude_mean(&burst);
+            std_sum += std;
+        }
+        let mean = mean_sum / f64::from(bursts);
+        let std = std_sum / f64::from(bursts);
+        assert!(
+            (mean - box_muller_mean).abs() < 0.01,
+            "{truth:?}: average magnitude mean {mean}, Box–Muller {box_muller_mean}"
+        );
+        assert!(
+            (std / box_muller_std - 1.0).abs() < 0.02,
+            "{truth:?}: average magnitude std {std}, Box–Muller {box_muller_std}"
+        );
+    }
 }
 
 /// Audio classification is a threshold function of RMS.

@@ -62,8 +62,9 @@ impl StreamSelector {
 type Listener = Rc<dyn Fn(&mut Scheduler, &StreamEvent)>;
 
 /// A registered observer of device configuration acks (both positive and
-/// negative). The campaign scheduler's settle path.
-type AckListener = Rc<dyn Fn(&mut Scheduler, &ConfigAck)>;
+/// negative). The campaign scheduler's settle path. It returns whether it
+/// stays registered, as a repeating timer's body does.
+type AckListener = Box<dyn FnMut(&mut Scheduler, &ConfigAck) -> bool>;
 
 struct Subscription {
     selector: StreamSelector,
@@ -274,30 +275,36 @@ impl ServerManager {
     }
 
     fn on_config_ack(&self, sched: &mut Scheduler, ack: ConfigAck) {
-        let listeners = {
+        // The listeners run with the state unborrowed, so they may call
+        // back into the server.
+        let mut listeners = {
             let mut inner = self.inner.borrow_mut();
             if !ack.accepted {
                 self.telemetry.count("config_rejections");
                 inner.rejection_log.push(ack.clone());
             }
-            inner.ack_listeners.clone()
+            std::mem::take(&mut inner.ack_listeners)
         };
-        for listener in listeners {
-            listener(sched, &ack);
-        }
+        listeners.retain_mut(|listener| listener(sched, &ack));
+        let mut inner = self.inner.borrow_mut();
+        // Listeners registered while these ran go after them.
+        listeners.append(&mut inner.ack_listeners);
+        inner.ack_listeners = listeners;
     }
 
     /// Registers an observer of device configuration acks — positive and
     /// negative alike, after the server's own rejection bookkeeping. The
-    /// campaign scheduler uses this to settle dispatch attempts.
+    /// campaign scheduler uses this to settle dispatch attempts. The
+    /// listener stays registered while it returns `true`; the first ack
+    /// it returns `false` for is its last.
     pub fn register_ack_listener<F>(&self, listener: F)
     where
-        F: Fn(&mut Scheduler, &ConfigAck) + 'static,
+        F: FnMut(&mut Scheduler, &ConfigAck) -> bool + 'static,
     {
         self.inner
             .borrow_mut()
             .ack_listeners
-            .push(Rc::new(listener));
+            .push(Box::new(listener));
     }
 
     /// Negative configuration acks received from devices — pushed plans
@@ -1413,6 +1420,34 @@ mod tests {
             BrokerClient::new(&net, "server-ep", "broker", "server"),
             SimRng::seed_from(0),
         ))
+    }
+
+    /// A listener that returns `false` runs for the first ack only; one
+    /// that returns `true` runs for every ack.
+    #[test]
+    fn ack_listeners_stay_registered_while_they_return_true() {
+        let server = server();
+        let mut sched = Scheduler::new();
+        let runs = Rc::new(RefCell::new(Vec::new()));
+        for keep in [false, true] {
+            let runs = runs.clone();
+            server.register_ack_listener(move |_, ack| {
+                runs.borrow_mut().push((keep, ack.epoch));
+                keep
+            });
+        }
+        for epoch in [1, 2] {
+            let ack = ConfigAck {
+                device: DeviceId::new("device-1"),
+                stream: StreamId::new(7),
+                epoch,
+                accepted: true,
+                diagnostics: Vec::new(),
+                token: None,
+            };
+            server.on_config_ack(&mut sched, ack);
+        }
+        assert_eq!(*runs.borrow(), [(false, 1), (true, 1), (true, 2)]);
     }
 
     /// The document mirror the position table replaced, kept as the

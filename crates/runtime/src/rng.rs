@@ -6,8 +6,12 @@
 //! exactly repeatable. The generator is xoshiro256** (Blackman and Vigna),
 //! its state filled from the 64-bit seed by SplitMix64, and both are
 //! written out below: a seed names the same stream on every build, and
-//! known-answer tests pin it. The distribution samplers (normal,
-//! exponential, Poisson) are implemented here as well.
+//! known-answer tests pin it. The distribution samplers are implemented
+//! here as well: [`SimRng::standard_normal`] is a 128-layer ziggurat
+//! (Marsaglia and Tsang, 2000) for the hot accelerometer noise;
+//! [`SimRng::normal`] stays Box–Muller, because its callers' streams
+//! (network latency, OSN push delay, GPS and audio noise) pin every
+//! replay digest; exponential is an inverse CDF and Poisson is Knuth's.
 
 /// A deterministic random-number generator for simulations.
 ///
@@ -37,6 +41,61 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The right edge of the ziggurat's base strip: the tail beyond it is
+/// sampled exactly (Marsaglia and Tsang, 2000, 128 layers).
+const ZIGGURAT_R: f64 = 3.442_619_855_899;
+/// The area of every layer under the unnormalised density `exp(-x²/2)`.
+const ZIGGURAT_V: f64 = 9.912_563_035_262_17e-3;
+/// 2³¹: scales a signed 32-bit draw to `[-1, 1)`.
+const ZIGGURAT_SCALE: f64 = 2_147_483_648.0;
+
+/// The unnormalised standard normal density, `exp(-x²/2)`.
+fn density(x: f64) -> f64 {
+    (-0.5 * x * x).exp()
+}
+
+/// The ziggurat's tables in Marsaglia and Tsang's layout: layer 0 is the
+/// base strip and its tail, layer 127 the layer above it, and layer 1 the
+/// cap. Layer `i`'s right edge is `x_i = w[i] · 2³¹`.
+struct Ziggurat {
+    /// A draw whose magnitude is below `k[i]` lies inside the layer above
+    /// (`x_{i-1} / x_i · 2³¹`), so it needs no density test.
+    k: [u32; 128],
+    /// `x_i / 2³¹`, which turns a signed 32-bit draw into a point of layer `i`.
+    w: [f64; 128],
+    /// The density `exp(-x_i²/2)` at layer `i`'s edge; `f[0]` is the peak.
+    f: [f64; 128],
+}
+
+impl Ziggurat {
+    /// The shared tables, computed from `r` and `v` on first use.
+    fn tables() -> &'static Ziggurat {
+        static TABLES: std::sync::OnceLock<Ziggurat> = std::sync::OnceLock::new();
+        TABLES.get_or_init(Ziggurat::build)
+    }
+
+    fn build() -> Ziggurat {
+        let mut x = ZIGGURAT_R;
+        let q = ZIGGURAT_V / density(x);
+        let mut k = [0; 128];
+        let mut w = [0.0; 128];
+        let mut f = [0.0; 128];
+        k[0] = (x / q * ZIGGURAT_SCALE) as u32;
+        w[0] = q / ZIGGURAT_SCALE;
+        w[127] = x / ZIGGURAT_SCALE;
+        f[0] = 1.0;
+        f[127] = density(x);
+        for i in (1..127).rev() {
+            let inner = (-2.0 * (ZIGGURAT_V / x + density(x)).ln()).sqrt();
+            k[i + 1] = (inner / x * ZIGGURAT_SCALE) as u32;
+            x = inner;
+            f[i] = density(x);
+            w[i] = x / ZIGGURAT_SCALE;
+        }
+        Ziggurat { k, w, f }
+    }
 }
 
 impl SimRng {
@@ -159,6 +218,41 @@ impl SimRng {
             }
         }
         min
+    }
+
+    /// A standard normal sample from a 128-layer ziggurat (Marsaglia and
+    /// Tsang, 2000).
+    ///
+    /// Each attempt takes one draw: its low 7 bits pick the layer and its
+    /// high 32 bits, read as signed, the point, so the two share no bits
+    /// (Doornik, 2005). About 99% of samples return after one compare;
+    /// the rest take the wedge test (one `exp`) or, in the base layer,
+    /// Marsaglia's exponential tail beyond `r`.
+    pub fn standard_normal(&mut self) -> f64 {
+        let zig = Ziggurat::tables();
+        loop {
+            let bits = self.next_u64();
+            let layer = (bits & 0x7f) as usize;
+            let signed = (bits >> 32) as u32 as i32;
+            let x = f64::from(signed) * zig.w[layer];
+            if signed.unsigned_abs() < zig.k[layer] {
+                return x;
+            }
+            if layer == 0 {
+                loop {
+                    let beyond = -(1.0 - self.unit()).ln() / ZIGGURAT_R;
+                    let y = -(1.0 - self.unit()).ln();
+                    if y + y >= beyond * beyond {
+                        let tail = ZIGGURAT_R + beyond;
+                        return if signed > 0 { tail } else { -tail };
+                    }
+                }
+            }
+            let (top, bottom) = (zig.f[layer - 1], zig.f[layer]);
+            if bottom + self.unit() * (top - bottom) < density(x) {
+                return x;
+            }
+        }
     }
 
     /// An exponential sample with the given rate (`lambda`), via inverse
@@ -338,6 +432,64 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 46.5).abs() < 0.1, "mean {mean}");
         assert!((var.sqrt() - 2.8).abs() < 0.1, "std {}", var.sqrt());
+    }
+
+    /// The ziggurat's first draws for the seed `stream_matches_reference`
+    /// pins: layers 22, 126 and 33, each inside the layer above.
+    #[test]
+    fn standard_normal_matches_reference() {
+        let mut rng = SimRng::seed_from(42);
+        let first: [f64; 3] = std::array::from_fn(|_| rng.standard_normal());
+        assert_eq!(
+            first,
+            [
+                0.156_256_204_250_663_1,
+                2.442_971_110_087_854,
+                -0.708_463_011_786_736_9
+            ]
+        );
+    }
+
+    /// A million ziggurat draws against the standard normal: the first
+    /// four moments, the share beyond the base strip's edge `r` (the
+    /// exponential tail) and the CDF at -1, 0 and 1.
+    #[test]
+    fn standard_normal_matches_the_distribution() {
+        let mut rng = SimRng::seed_from(42);
+        let n = 1_000_000;
+        let (mut sum, mut square, mut fourth) = (0.0, 0.0, 0.0);
+        let mut beyond_r = 0u32;
+        let mut below = [0u32; 3];
+        for _ in 0..n {
+            let z = rng.standard_normal();
+            sum += z;
+            square += z * z;
+            fourth += z * z * z * z;
+            if z.abs() > ZIGGURAT_R {
+                beyond_r += 1;
+            }
+            for (count, edge) in below.iter_mut().zip([-1.0, 0.0, 1.0]) {
+                if z < edge {
+                    *count += 1;
+                }
+            }
+        }
+        let n = f64::from(n);
+        let (mean, square, fourth) = (sum / n, square / n, fourth / n);
+        let tail = f64::from(beyond_r) / n;
+        assert!(mean.abs() < 0.005, "mean {mean}");
+        assert!((square - 1.0).abs() < 0.005, "E[z²] {square}");
+        assert!((fourth - 3.0).abs() < 0.03, "E[z⁴] {fourth}");
+        // 2·(1 − Φ(r)) = 0.000576.
+        assert!(
+            (0.000_45..=0.000_70).contains(&tail),
+            "share beyond r {tail}"
+        );
+        let phi = [0.158_655_253_931_457, 0.5, 0.841_344_746_068_543];
+        for ((count, edge), expected) in below.iter().zip([-1.0, 0.0, 1.0]).zip(phi) {
+            let share = f64::from(*count) / n;
+            assert!((share - expected).abs() < 0.002, "P(z < {edge}) = {share}");
+        }
     }
 
     #[test]

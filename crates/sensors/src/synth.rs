@@ -32,6 +32,11 @@ pub(crate) fn gps_fix(env: &DeviceEnvironment, rng: &mut SimRng) -> RawSample {
 /// Synthesises an accelerometer burst (length and rate from the sensor
 /// configuration; paper default 8 s at 50 Hz) whose oscillation amplitude
 /// and cadence depend on the true activity.
+///
+/// This is the hot path of any deployment whose filters gate on activity:
+/// every axis's noise is a ziggurat normal, and the oscillation
+/// `sin(2π·f·t + phase)` is stepped as a rotation of its `(sin, cos)` pair,
+/// so a sample takes no transcendental call.
 pub(crate) fn accel_burst(
     config: &SensorConfig,
     env: &DeviceEnvironment,
@@ -46,17 +51,24 @@ pub(crate) fn accel_burst(
     let n = config.accel_burst_samples();
     let mut samples = Vec::with_capacity(n);
     let phase = rng.uniform(0.0, std::f64::consts::TAU);
-    for i in 0..n {
-        let t_s = i as f64 * config.accel_sample_interval_ms / 1_000.0;
-        let osc = if cadence_hz > 0.0 {
-            (std::f64::consts::TAU * cadence_hz * t_s + phase).sin() * amplitude
-        } else {
-            0.0
-        };
+    // A still burst has no oscillation: the zero pair stays zero.
+    let (mut sin, mut cos) = if cadence_hz > 0.0 {
+        phase.sin_cos()
+    } else {
+        (0.0, 0.0)
+    };
+    let step = std::f64::consts::TAU * cadence_hz * config.accel_sample_interval_ms / 1_000.0;
+    let (step_sin, step_cos) = step.sin_cos();
+    for _ in 0..n {
+        let osc = sin * amplitude;
+        (sin, cos) = (
+            sin * step_cos + cos * step_sin,
+            cos * step_cos - sin * step_sin,
+        );
         samples.push(AccelSample::new(
-            rng.normal(0.0, 0.08) + osc * 0.35,
-            rng.normal(0.0, 0.08) + osc * 0.25,
-            G + rng.normal(0.0, 0.08) + osc,
+            0.08 * rng.standard_normal() + osc * 0.35,
+            0.08 * rng.standard_normal() + osc * 0.25,
+            G + 0.08 * rng.standard_normal() + osc,
         ));
     }
     RawSample::Accelerometer(samples)
