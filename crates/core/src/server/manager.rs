@@ -1416,7 +1416,7 @@ mod tests {
     fn server() -> ServerManager {
         let net = Network::new(0);
         ServerManager::new(ServerDeps::new(
-            StorageConfig::document().open(),
+            StorageConfig::default().open(),
             BrokerClient::new(&net, "server-ep", "broker", "server"),
             SimRng::seed_from(0),
         ))

@@ -1,18 +1,24 @@
 //! Endpoints and message envelopes.
 
 use std::fmt;
+use std::rc::Rc;
 
 use sensocial_runtime::Timestamp;
 
 /// Names a network endpoint — a mobile device, the SenSocial server, or the
 /// OSN platform front-end.
+///
+/// The name is shared, not owned: cloning an id (as every send does, for
+/// the link lookup and the message envelope) bumps a reference count
+/// instead of copying the string. Equality, hashing and ordering are the
+/// name's.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EndpointId(String);
+pub struct EndpointId(Rc<str>);
 
 impl EndpointId {
     /// Creates an endpoint id.
-    pub fn new(name: impl Into<String>) -> Self {
-        EndpointId(name.into())
+    pub fn new(name: impl AsRef<str>) -> Self {
+        EndpointId(Rc::from(name.as_ref()))
     }
 
     /// The endpoint name.
@@ -29,13 +35,13 @@ impl fmt::Display for EndpointId {
 
 impl From<&str> for EndpointId {
     fn from(s: &str) -> Self {
-        EndpointId(s.to_owned())
+        EndpointId(Rc::from(s))
     }
 }
 
 impl From<String> for EndpointId {
     fn from(s: String) -> Self {
-        EndpointId(s)
+        EndpointId(Rc::from(s))
     }
 }
 
@@ -79,8 +85,24 @@ mod tests {
     fn endpoint_conversions() {
         let a = EndpointId::new("server");
         assert_eq!(a, EndpointId::from("server"));
+        assert_eq!(a, EndpointId::from(String::from("server")));
         assert_eq!(a.as_str(), "server");
         assert_eq!(a.to_string(), "endpoint:server");
+        assert_eq!(format!("{a:?}"), "EndpointId(\"server\")");
+    }
+
+    #[test]
+    fn clones_share_the_name_and_order_by_it() {
+        let a = EndpointId::from("dev-0002-ep");
+        let b = a.clone();
+        assert!(std::ptr::eq(a.as_str(), b.as_str()));
+        let mut ids: Vec<EndpointId> = ["server", "broker", "dev-0002-ep", "dev-0001-ep"]
+            .into_iter()
+            .map(EndpointId::from)
+            .collect();
+        ids.sort();
+        let names: Vec<&str> = ids.iter().map(EndpointId::as_str).collect();
+        assert_eq!(names, ["broker", "dev-0001-ep", "dev-0002-ep", "server"]);
     }
 
     #[test]

@@ -38,8 +38,9 @@ pub struct WorldConfig {
     pub charge_idle: bool,
     /// Server storage configuration (backend, partition window, flush
     /// interval). The default reads the backend from the
-    /// `SENSOCIAL_STORAGE_BACKEND` environment variable, which is how CI
-    /// runs the whole suite against both backends.
+    /// `SENSOCIAL_STORAGE_BACKEND` environment variable (columnar when it
+    /// is unset), which is how CI runs the whole suite against both
+    /// backends.
     pub storage: StorageConfig,
     /// Broker behaviour (QoS-1 retry policy, offline-queue limits, and
     /// the `batch_delivery` switch that coalesces same-instant fan-out
@@ -303,13 +304,17 @@ impl World {
     /// per-stage latency histograms
     /// (`stage.sense` … `stage.subscriber`) merge into one histogram per
     /// pipeline stage.
+    ///
+    /// Each registry folds into the result in place, so a device whose
+    /// keys are already present costs no allocation.
     pub fn telemetry_snapshot(&self) -> sensocial::TelemetrySnapshot {
-        let mut snap = self.server.telemetry().snapshot();
-        snap.merge(&self.server.storage().telemetry().snapshot());
-        snap.merge(&self.broker.telemetry().snapshot());
-        snap.merge(&self.net.telemetry().snapshot());
+        let mut snap = sensocial::TelemetrySnapshot::new();
+        self.server.telemetry().merge_into(&mut snap);
+        self.server.storage().telemetry().merge_into(&mut snap);
+        self.broker.telemetry().merge_into(&mut snap);
+        self.net.telemetry().merge_into(&mut snap);
         for device in self.devices.values() {
-            snap.merge(&device.manager.telemetry().snapshot());
+            device.manager.telemetry().merge_into(&mut snap);
         }
         snap
     }

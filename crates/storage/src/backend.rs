@@ -24,10 +24,10 @@ use crate::sample::{PartitionKey, SampleQuery, SampleRecord};
 pub enum BackendKind {
     /// Samples live as documents in a `samples` collection, each scan
     /// one walk over them in insert order.
-    #[default]
     Document,
     /// Samples live in append-only column chunks partitioned by
-    /// (user, virtual-time window).
+    /// (user, virtual-time window). The default.
+    #[default]
     Columnar,
 }
 
@@ -117,7 +117,7 @@ mod tests {
             assert_eq!(kind.name().parse::<BackendKind>().ok(), Some(kind));
         }
         assert!("mongo".parse::<BackendKind>().is_err());
-        assert_eq!(BackendKind::default(), BackendKind::Document);
+        assert_eq!(BackendKind::default(), BackendKind::Columnar);
         assert_eq!(BackendKind::Columnar.to_string(), "columnar");
     }
 }

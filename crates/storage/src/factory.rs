@@ -58,13 +58,13 @@ impl StorageConfig {
         StorageConfig::new(BackendKind::Columnar)
     }
 
-    /// Reads the backend from [`BACKEND_ENV`], defaulting to the document
+    /// Reads the backend from [`BACKEND_ENV`], defaulting to the columnar
     /// backend when the variable is unset or empty.
     ///
     /// # Panics
     ///
     /// Panics, naming the variable, when it is set to anything that does
-    /// not name a backend: a misspelt value must not run the document
+    /// not name a backend: a misspelt value must not run the default
     /// backend under another backend's label.
     pub fn from_env() -> StorageConfig {
         let value = std::env::var_os(BACKEND_ENV).map(|v| v.to_string_lossy().into_owned());
@@ -83,7 +83,7 @@ impl StorageConfig {
 }
 
 /// The backend a [`BACKEND_ENV`] value selects: unset or blank means the
-/// default (document); anything else, trimmed, must name a backend.
+/// default (columnar); anything else, trimmed, must name a backend.
 ///
 /// # Panics
 ///
@@ -114,8 +114,9 @@ mod tests {
 
     #[test]
     fn backend_variable_selects_a_backend() {
-        assert_eq!(backend_for(None), BackendKind::Document);
-        assert_eq!(backend_for(Some("")), BackendKind::Document);
+        assert_eq!(backend_for(None), BackendKind::Columnar);
+        assert_eq!(backend_for(Some("")), BackendKind::Columnar);
+        assert_eq!(backend_for(Some("document")), BackendKind::Document);
         assert_eq!(backend_for(Some("columnar")), BackendKind::Columnar);
         assert_eq!(backend_for(Some(" columnar ")), BackendKind::Columnar);
     }
@@ -130,7 +131,7 @@ mod tests {
     #[test]
     fn defaults_batch_rather_than_stream() {
         let config = StorageConfig::default();
-        assert_eq!(config.backend, BackendKind::Document);
+        assert_eq!(config.backend, BackendKind::Columnar);
         assert!(!config.flush_interval.is_zero());
         assert!(crate::sample::WINDOW_MS >= config.flush_interval.as_millis());
     }

@@ -17,10 +17,12 @@
 //!   backend-independent: global sequencing, batch ingest, partition
 //!   planning with predicate pushdown, and the `storage.*` telemetry
 //!   scope. Two backends ship:
+//!   * [`BackendKind::Columnar`], the default — samples as append-only
+//!     column chunks partitioned by (user, virtual-time window), scanned
+//!     column-first;
 //!   * [`BackendKind::Document`] — samples as rows of a `samples`
-//!     collection (the historical layout);
-//!   * [`BackendKind::Columnar`] — samples as append-only column chunks
-//!     partitioned by (user, virtual-time window), scanned column-first.
+//!     collection (the historical layout), still selectable with
+//!     [`StorageConfig::document`] or `SENSOCIAL_STORAGE_BACKEND=document`.
 //!
 //! Because sequencing, pruning and telemetry live in the engine, a
 //! same-seed simulation produces identical scan results and byte-identical

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use crate::snapshot::{GaugeSnapshot, HistogramSnapshot, Snapshot};
+use crate::snapshot::{update, GaugeSnapshot, HistogramSnapshot, Snapshot};
 use crate::stage::Stage;
 use crate::trace::{SpanGuard, TraceEvent, TRACE_CAPACITY};
 
@@ -44,15 +44,6 @@ fn scoped<'a>(buf: &'a mut String, scope: &str, name: &str) -> &'a str {
     buf.push('.');
     buf.push_str(name);
     buf
-}
-
-/// Applies `f` to the value under `key`, inserting a default first if it
-/// is absent. Only that first touch allocates the owned key.
-fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
-    match map.get_mut(key) {
-        Some(value) => f(value),
-        None => f(map.entry(key.to_owned()).or_default()),
-    }
 }
 
 impl Registry {
@@ -166,6 +157,15 @@ impl Registry {
     /// The most recent trace events, oldest first.
     pub fn recent_traces(&self) -> Vec<TraceEvent> {
         self.inner.borrow().trace.iter().cloned().collect()
+    }
+
+    /// Folds the live counters, gauges and histograms into `into`, with
+    /// the same result as `into.merge(&self.snapshot())` but without
+    /// copying the registry first: a key `into` already holds costs no
+    /// allocation.
+    pub fn merge_into(&self, into: &mut Snapshot) {
+        let inner = self.inner.borrow();
+        into.fold(&inner.counters, &inner.gauges, &inner.histograms);
     }
 
     /// Freezes the registry into a [`Snapshot`].

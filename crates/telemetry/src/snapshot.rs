@@ -16,6 +16,15 @@ pub(crate) const BUCKET_BOUNDS_MS: [u64; 15] = [
     1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 30_000, 60_000,
 ];
 
+/// Applies `f` to the value under `key`, inserting a default first if it
+/// is absent. Only that first touch allocates the owned key.
+pub(crate) fn update<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(value) => f(value),
+        None => f(map.entry(key.to_owned()).or_default()),
+    }
+}
+
 /// A gauge frozen at snapshot time: current value plus the largest value
 /// ever set (the high-water mark — backlog peaks survive the backlog
 /// draining).
@@ -201,19 +210,29 @@ impl Snapshot {
     /// Merging is commutative and associative, so folding a fleet of
     /// device snapshots in any order yields the same result.
     pub fn merge(&mut self, other: &Snapshot) {
-        for (name, value) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += value;
+        self.fold(&other.counters, &other.gauges, &other.histograms);
+    }
+
+    /// [`Snapshot::merge`] over borrowed maps, so a live registry folds
+    /// in without being frozen first. A key is copied only when `self`
+    /// lacks it.
+    pub(crate) fn fold(
+        &mut self,
+        counters: &BTreeMap<String, u64>,
+        gauges: &BTreeMap<String, GaugeSnapshot>,
+        histograms: &BTreeMap<String, HistogramSnapshot>,
+    ) {
+        for (name, value) in counters {
+            update(&mut self.counters, name, |c| *c += value);
         }
-        for (name, gauge) in &other.gauges {
-            let entry = self.gauges.entry(name.clone()).or_default();
-            entry.value += gauge.value;
-            entry.high_water = entry.high_water.max(gauge.high_water);
+        for (name, gauge) in gauges {
+            update(&mut self.gauges, name, |entry| {
+                entry.value += gauge.value;
+                entry.high_water = entry.high_water.max(gauge.high_water);
+            });
         }
-        for (name, histogram) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge(histogram);
+        for (name, histogram) in histograms {
+            update(&mut self.histograms, name, |h| h.merge(histogram));
         }
     }
 

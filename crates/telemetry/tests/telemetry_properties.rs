@@ -1,7 +1,8 @@
 //! Property-based tests for the telemetry layer: histogram merging is a
 //! commutative, associative monoid with the empty histogram as identity,
-//! the canonical wire form carries every snapshot field, and it is
-//! byte-stable.
+//! the canonical wire form carries every snapshot field, it is
+//! byte-stable, and folding a live registry in place equals merging its
+//! snapshot.
 
 use sensocial_runtime::prop::{check, string_of, vec_of};
 use sensocial_runtime::SimRng;
@@ -151,5 +152,50 @@ fn snapshot_merge_order_is_irrelevant() {
         let mut ba = sb.clone();
         ba.merge(&sa);
         assert_eq!(ab.to_wire(), ba.to_wire());
+    });
+}
+
+/// A registry fed arbitrary counters, gauges, and stage and named
+/// histograms. Scopes and names come from small pools, so two registries
+/// often share keys.
+fn registry(rng: &mut SimRng) -> Registry {
+    const NAMES: [&str; 4] = ["uplink.sent", "drop.filter", "backlog", "transit_ms"];
+    let reg = Registry::new(if rng.chance(0.5) { "client" } else { "server" });
+    let pick = |r: &mut SimRng| r.choose(&NAMES).copied().unwrap_or("backlog");
+    for _ in 0..rng.uniform_u64(0, 6) {
+        let name = pick(rng);
+        reg.count_by(name, rng.uniform_u64(0, 1_000));
+    }
+    for _ in 0..rng.uniform_u64(0, 4) {
+        let name = pick(rng);
+        reg.gauge_set(name, rng.uniform_u64(0, 10_000));
+    }
+    for (i, ms) in samples(rng).into_iter().enumerate() {
+        if i % 3 == 0 {
+            let name = pick(rng);
+            reg.observe_named(name, ms);
+        } else {
+            reg.observe(Stage::ALL[i % Stage::ALL.len()], ms);
+        }
+    }
+    reg
+}
+
+/// Folding a live registry in place gives what merging its snapshot
+/// gives, whether or not the target already holds the registry's keys.
+#[test]
+fn merge_into_equals_merging_the_snapshot() {
+    check(256, |rng| {
+        let mut into = if rng.chance(0.2) {
+            Snapshot::new()
+        } else {
+            registry(rng).snapshot()
+        };
+        let reg = registry(rng);
+        let mut expected = into.clone();
+        expected.merge(&reg.snapshot());
+        reg.merge_into(&mut into);
+        assert_eq!(into, expected);
+        assert_eq!(into.to_wire(), expected.to_wire());
     });
 }

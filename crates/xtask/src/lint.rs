@@ -94,15 +94,17 @@ fn patterns() -> Vec<Pattern> {
         "crates/sim/src",
         "crates/analysis/src",
     ];
-    // The per-message hot paths: broker routing/fan-out and the client and
-    // server managers' sample/uplink handlers. Topics and device ids there
-    // are interned (`InternedTopic`) and payloads are shared (`Payload`);
-    // an ad-hoc `to_string()`/`String::from`/`format!` re-allocates what
-    // the interner already shares, once per message.
+    // The per-message hot paths: broker routing/fan-out, the client and
+    // server managers' sample/uplink handlers, and the network's send and
+    // delivery. Topics and device ids there are interned (`InternedTopic`),
+    // endpoint names are shared (`EndpointId`) and payloads are shared
+    // (`Payload`); an ad-hoc `to_string()`/`String::from`/`format!`
+    // re-allocates what is already shared, once per message.
     const HOT_PATH_MODULES: &[&str] = &[
         "crates/broker/src",
         "crates/core/src/client",
         "crates/core/src/server",
+        "crates/net/src",
     ];
     // Components are single-threaded `Rc<RefCell<_>>` handles; only the
     // interner's static pool needs a lock.
@@ -650,6 +652,15 @@ mod tests {
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].pattern, "format");
         assert!(scan_source("crates/core/src/event.rs", &label, &patterns()).is_empty());
+        // The network's send path is a hot path too: a per-send endpoint
+        // name copy is flagged there.
+        let send = format!(
+            "fn f(to: &EndpointId) {{ let key = {}to.as_str()); }}\n",
+            tok(&["String::fr", "om("])
+        );
+        let violations = scan_source("crates/net/src/network.rs", &send, &patterns());
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].pattern, "string-from");
         // Cold/error paths opt out with the marker.
         let marker = tok(&["lint:", "allow(to-string)"]);
         let allowed = format!("fn f(t: &Topic) -> String {{ t{needle} }} // {marker}\n");

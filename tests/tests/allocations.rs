@@ -1,6 +1,7 @@
 //! Allocation counts on the storage ingest path, which must pay only for
-//! the rows it stores, and on the read paths, which must pay only for
-//! what they return.
+//! the rows it stores; on the read paths, which must pay only for what
+//! they return; and on the network's send path and the world's telemetry
+//! fold, which must not copy the names they only read.
 //!
 //! A counting global allocator wraps `System`. The file holds a single
 //! `#[test]`, so no other test runs in the process while a count is taken.
@@ -10,10 +11,15 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use sensocial::{compile, eval_local, Condition, ConditionLhs, EvalContext, Filter, Operator};
+use sensocial::{
+    compile, eval_local, Condition, ConditionLhs, EvalContext, Filter, Granularity, Modality,
+    Operator, StreamSink, StreamSpec,
+};
+use sensocial_net::{EndpointId, Network};
 use sensocial_runtime::json;
-use sensocial_runtime::Timestamp;
-use sensocial_storage::{Collection, Query, SampleQuery, StorageConfig};
+use sensocial_runtime::{Scheduler, SimDuration, Timestamp};
+use sensocial_sim::{World, WorldConfig};
+use sensocial_storage::{Collection, Query, SampleQuery, StorageConfig, StorageEngine};
 use sensocial_types::geo::cities;
 use sensocial_types::{
     ClassifiedContext, ContextData, ContextSnapshot, DeviceId, GeoFence, GpsFix, PhysicalActivity,
@@ -71,13 +77,24 @@ const ROWS: u64 = 2_000;
 /// document and the buffered record, with no index entry beside them.
 /// The rows alone take 21.5 a row; an ordered index entry per row on
 /// user, modality and time would take 25.
-const INGEST_ALLOCS_PER_ROW: u64 = 23;
+const DOCUMENT_INGEST_ALLOCS_PER_ROW: u64 = 23;
 
-#[test]
-fn read_paths_allocate_only_for_what_they_return() {
-    // Appending and flushing location rows into the document backend
-    // allocates for the rows alone.
-    let storage = StorageConfig::document().open();
+/// Allocations per row of filling a columnar engine with the same rows:
+/// the buffered record and its share of the column chunks, 16.5 a row.
+const COLUMNAR_INGEST_ALLOCS_PER_ROW: u64 = 17;
+
+/// Sends counted on a warm network, and the allocations they may make:
+/// one scheduled delivery each, with room for the scheduler's queue.
+/// Copying each endpoint name for the link key and the envelope would
+/// make it five a send.
+const SENDS: u64 = 999;
+const SEND_ALLOCS: u64 = 1_010;
+
+/// Appends `ROWS` location rows from 20 users and devices into a fresh
+/// engine and flushes them, returning the engine and the allocations the
+/// appends and the flush made.
+fn fill(config: StorageConfig) -> (StorageEngine, u64) {
+    let storage = config.open();
     let users: Vec<UserId> = (0..20).map(|u| UserId::new(format!("user-{u}"))).collect();
     let devices: Vec<DeviceId> = (0..20).map(|d| DeviceId::new(format!("dev-{d}"))).collect();
     let before = ALLOCS.load(Relaxed);
@@ -100,20 +117,52 @@ fn read_paths_allocate_only_for_what_they_return() {
     }
     storage.flush(Timestamp::from_secs(ROWS * 3));
     let allocs = ALLOCS.load(Relaxed) - before;
+    (storage, allocs)
+}
+
+/// A world of `devices` phones, each streaming raw location to the
+/// server every 10 s for a virtual minute, so every device registry
+/// holds counters and stage histograms.
+fn streaming_world(devices: usize) -> World {
+    let mut world = World::new(WorldConfig::default());
+    for d in 0..devices {
+        let device = format!("dev-{d}");
+        world.add_device(format!("user-{d}"), device.as_str(), cities::paris());
+        let spec = StreamSpec::continuous(Modality::Location, Granularity::Raw)
+            .with_interval(SimDuration::from_secs(10))
+            .with_sink(StreamSink::Server);
+        world.create_stream(&device, spec).unwrap();
+    }
+    world.run_for(SimDuration::from_mins(1));
+    world
+}
+
+#[test]
+fn read_paths_allocate_only_for_what_they_return() {
+    // Appending and flushing location rows allocates for the rows alone,
+    // on either backend.
+    let (storage, allocs) = fill(StorageConfig::document());
     assert!(
-        allocs <= INGEST_ALLOCS_PER_ROW * ROWS,
-        "ingesting {ROWS} rows allocated {allocs} times"
+        allocs <= DOCUMENT_INGEST_ALLOCS_PER_ROW * ROWS,
+        "ingesting {ROWS} rows into the document backend allocated {allocs} times"
+    );
+    let (columnar, allocs) = fill(StorageConfig::columnar());
+    assert!(
+        allocs <= COLUMNAR_INGEST_ALLOCS_PER_ROW * ROWS,
+        "ingesting {ROWS} rows into the columnar backend allocated {allocs} times"
     );
 
-    // A document-backend scan whose fence holds none of the stored rows
-    // copies and parses none of them.
+    // A scan whose fence holds none of the stored rows copies and parses
+    // none of them, on either backend.
     let far = SampleQuery::all().within(GeoFence::new(cities::bordeaux(), 1_000.0));
-    let (rows, allocs) = counted(|| storage.scan(&far));
-    assert!(rows.is_empty());
-    assert!(
-        allocs < 64,
-        "a scan returning no rows of {ROWS} allocated {allocs} times"
-    );
+    for (name, engine) in [("document", &storage), ("columnar", &columnar)] {
+        let (rows, allocs) = counted(|| engine.scan(&far));
+        assert!(rows.is_empty());
+        assert!(
+            allocs < 64,
+            "a {name} scan returning no rows of {ROWS} allocated {allocs} times"
+        );
+    }
 
     // Counting the matches of a query copies none of them.
     let journal = Collection::new("journal");
@@ -151,4 +200,37 @@ fn read_paths_allocate_only_for_what_they_return() {
     let (verdict, allocs) = counted(|| filter.evaluate_local(&ctx));
     assert_eq!(verdict, Ok(true));
     assert_eq!(allocs, 0, "the interpreted map filter allocated");
+
+    // A send keys the link lookup and fills the envelope with shared
+    // endpoint names: the one allocation left per send is the scheduled
+    // delivery. An empty payload allocates nothing, so the count is the
+    // network's own.
+    let net = Network::new(1);
+    let (phone, server) = (EndpointId::from("phone-ep"), EndpointId::from("server-ep"));
+    net.register(phone.clone(), |_, _| {});
+    net.register(server.clone(), |_, _| {});
+    let mut sched = Scheduler::new();
+    let ((), allocs) = counted(|| {
+        for _ in 0..SENDS {
+            net.send(&mut sched, &phone, &server, Vec::new()).unwrap();
+        }
+        sched.run();
+    });
+    assert_eq!(net.telemetry().counter("delivered"), 2 * SENDS);
+    assert!(
+        allocs <= SEND_ALLOCS,
+        "{SENDS} sends allocated {allocs} times"
+    );
+
+    // The deployment's telemetry folds each registry in place, so a warm
+    // snapshot of 100 devices allocates no more than one of 10: each
+    // device adds only keys that an earlier one already brought.
+    let (small, large) = (streaming_world(10), streaming_world(100));
+    let (snap, small_allocs) = counted(|| small.telemetry_snapshot());
+    assert!(snap.counter("server.uplink_events") > 0);
+    let (_, large_allocs) = counted(|| large.telemetry_snapshot());
+    assert!(
+        large_allocs <= small_allocs,
+        "a snapshot of 100 devices allocated {large_allocs} times, one of 10 {small_allocs}"
+    );
 }
