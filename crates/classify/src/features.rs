@@ -16,18 +16,22 @@ pub fn magnitude_mean(samples: &[AccelSample]) -> f64 {
 /// feature the stock activity classifier thresholds on (gravity cancels in
 /// the deviation, so the phone's orientation doesn't matter).
 ///
+/// One pass takes one square root per sample: the variance is the mean
+/// squared magnitude less the squared mean magnitude, clamped at zero
+/// against rounding.
+///
 /// Returns 0 for an empty burst.
 pub fn magnitude_std(samples: &[AccelSample]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
-    let mean = magnitude_mean(samples);
-    let var = samples
-        .iter()
-        .map(|s| (s.magnitude() - mean).powi(2))
-        .sum::<f64>()
-        / samples.len() as f64;
-    var.sqrt()
+    let (sum, sum_sq) = samples.iter().fold((0.0, 0.0), |(sum, sum_sq), s| {
+        let sq = s.x * s.x + s.y * s.y + s.z * s.z;
+        (sum + sq.sqrt(), sum_sq + sq)
+    });
+    let n = samples.len() as f64;
+    let mean = sum / n;
+    (sum_sq / n - mean * mean).max(0.0).sqrt()
 }
 
 #[cfg(test)]

@@ -90,6 +90,83 @@ fn substrate_bursts_keep_their_statistics_and_margins() {
     }
 }
 
+/// The two-pass variance of a burst's magnitudes that `magnitude_std`
+/// used to take: the mean magnitude first, then the mean squared
+/// deviation from it.
+fn two_pass_variance(burst: &[AccelSample]) -> f64 {
+    let n = burst.len() as f64;
+    let mean = burst.iter().map(AccelSample::magnitude).sum::<f64>() / n;
+    burst
+        .iter()
+        .map(|s| (s.magnitude() - mean).powi(2))
+        .sum::<f64>()
+        / n
+}
+
+/// `magnitude_std` takes one pass and one square root per sample. Its
+/// variance agrees with the two-pass reference within 1e-9 (m/s²)², and
+/// the stock classifier gives the label the reference std would, on the
+/// bursts the substrate synthesises for each activity and on arbitrary
+/// bursts with components in ±50 m/s².
+#[test]
+fn one_pass_std_matches_the_two_pass_reference() {
+    let classifier = ActivityClassifier::default();
+    let agree = |burst: Vec<AccelSample>| {
+        let reference = two_pass_variance(&burst);
+        let std = magnitude_std(&burst);
+        assert!(
+            (std * std - reference).abs() <= 1e-9,
+            "variance {} against the reference {reference}",
+            std * std
+        );
+        let std = reference.sqrt();
+        let want = if std < classifier.still_threshold {
+            PhysicalActivity::Still
+        } else if std < classifier.running_threshold {
+            PhysicalActivity::Walking
+        } else {
+            PhysicalActivity::Running
+        };
+        assert_eq!(
+            classifier.classify(&RawSample::Accelerometer(burst)),
+            Some(ClassifiedContext::Activity(want)),
+            "reference std {std}"
+        );
+    };
+
+    let mut sched = Scheduler::new();
+    let env = DeviceEnvironment::new(cities::paris());
+    let sensors = SensorManager::new(env.clone(), SimRng::seed_from(23));
+    for truth in [
+        PhysicalActivity::Still,
+        PhysicalActivity::Walking,
+        PhysicalActivity::Running,
+    ] {
+        env.set_activity(truth);
+        for _ in 0..100 {
+            let RawSample::Accelerometer(burst) =
+                sensors.sample_once(&mut sched, Modality::Accelerometer)
+            else {
+                panic!("{truth:?}: the accelerometer gave no burst");
+            };
+            agree(burst);
+        }
+    }
+
+    // Each arbitrary burst scatters its samples up to `spread` around a
+    // centre, so its std falls on either side of both thresholds.
+    check(256, |rng| {
+        let centre = [0; 3].map(|_| rng.uniform(-40.0, 40.0));
+        let spread = rng.uniform(0.0, 10.0);
+        let n = rng.uniform_u64(1, 400) as usize;
+        let mut axis = |c: f64| c + rng.uniform(-spread, spread);
+        let burst = (0..n)
+            .map(|_| AccelSample::new(axis(centre[0]), axis(centre[1]), axis(centre[2])))
+            .collect();
+        agree(burst);
+    });
+}
+
 /// Audio classification is a threshold function of RMS.
 #[test]
 fn audio_threshold_is_sharp() {

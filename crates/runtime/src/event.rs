@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use crate::clock::{SimDuration, Timestamp};
+use crate::clock::Timestamp;
 use crate::scheduler::Scheduler;
 
 /// Opaque handle identifying a scheduled event.
@@ -21,26 +21,30 @@ impl fmt::Display for EventId {
     }
 }
 
-/// What runs when an event fires.
-pub(crate) enum Action {
-    /// A closure that runs once.
-    Once(Box<dyn FnOnce(&mut Scheduler)>),
-    /// A periodic body. Each time it returns `true` the scheduler re-arms
-    /// the same box `period` later, so a tick allocates nothing.
-    Repeat {
-        period: SimDuration,
-        body: Box<dyn FnMut(&mut Scheduler) -> bool>,
-    },
-}
+/// A closure that runs once, when its event fires.
+pub(crate) type OneShot = Box<dyn FnOnce(&mut Scheduler)>;
 
-/// An entry in the scheduler's event heap.
-pub(crate) struct ScheduledEvent {
+/// A periodic body. Each time it returns `true` the scheduler re-arms the
+/// same box one period later, so a tick allocates nothing.
+pub(crate) type Repeating = Box<dyn FnMut(&mut Scheduler) -> bool>;
+
+/// An entry in one of the scheduler's queues: a one-shot in the event
+/// heap, or a repeating body in its period's timer lane.
+pub(crate) struct ScheduledEvent<A> {
     pub(crate) at: Timestamp,
     pub(crate) id: EventId,
-    pub(crate) action: Action,
+    pub(crate) action: A,
 }
 
-impl fmt::Debug for ScheduledEvent {
+impl<A> ScheduledEvent<A> {
+    /// The firing order: earliest timestamp first, ties broken by
+    /// insertion order so the simulation is deterministic.
+    pub(crate) fn key(&self) -> (Timestamp, EventId) {
+        (self.at, self.id)
+    }
+}
+
+impl<A> fmt::Debug for ScheduledEvent<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ScheduledEvent")
             .field("at", &self.at)
@@ -49,26 +53,25 @@ impl fmt::Debug for ScheduledEvent {
     }
 }
 
-// Ordering: earliest timestamp first; ties broken by insertion order so the
-// simulation is deterministic. `BinaryHeap` is a max-heap, so the scheduler
-// wraps entries in `std::cmp::Reverse`.
-impl PartialEq for ScheduledEvent {
+// `BinaryHeap` is a max-heap, so the scheduler wraps entries in
+// `std::cmp::Reverse`.
+impl<A> PartialEq for ScheduledEvent<A> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.id == other.id
+        self.key() == other.key()
     }
 }
 
-impl Eq for ScheduledEvent {}
+impl<A> Eq for ScheduledEvent<A> {}
 
-impl PartialOrd for ScheduledEvent {
+impl<A> PartialOrd for ScheduledEvent<A> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for ScheduledEvent {
+impl<A> Ord for ScheduledEvent<A> {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.at.cmp(&other.at).then(self.id.cmp(&other.id))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -76,11 +79,11 @@ impl Ord for ScheduledEvent {
 mod tests {
     use super::*;
 
-    fn event(at_ms: u64, id: u64) -> ScheduledEvent {
+    fn event(at_ms: u64, id: u64) -> ScheduledEvent<OneShot> {
         ScheduledEvent {
             at: Timestamp::from_millis(at_ms),
             id: EventId(id),
-            action: Action::Once(Box::new(|_| {})),
+            action: Box::new(|_| {}),
         }
     }
 
@@ -89,6 +92,13 @@ mod tests {
         assert!(event(1, 5) < event(2, 0));
         assert!(event(2, 0) < event(2, 1));
         assert_eq!(event(3, 7), event(3, 7));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn entries_are_a_key_and_a_boxed_closure() {
+        assert_eq!(std::mem::size_of::<ScheduledEvent<OneShot>>(), 32);
+        assert_eq!(std::mem::size_of::<ScheduledEvent<Repeating>>(), 32);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! discrete-event simulation (DES) substrate:
 //!
 //! * [`Timestamp`] and [`SimDuration`] — millisecond-resolution virtual time;
-//! * [`Scheduler`] — an event heap with a virtual clock; events are boxed
-//!   closures receiving `&mut Scheduler` so they can schedule further
-//!   events, either one-shot or repeating (re-armed in place each period);
+//! * [`Scheduler`] — a virtual clock over an event heap of one-shots and a
+//!   FIFO lane of repeating ticks per period; events are boxed closures
+//!   receiving `&mut Scheduler` so they can schedule further events,
+//!   either one-shot or repeating (re-armed in place each period);
 //! * [`Timer`] — recurring timers built on the scheduler's repeating
 //!   events (duty cycles, polling loops), stopped by a handle or by their
 //!   own tick;

@@ -1,10 +1,11 @@
 //! The discrete-event scheduler.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+use std::fmt;
 
 use crate::clock::{SimDuration, Timestamp};
-use crate::event::{Action, EventId, ScheduledEvent};
+use crate::event::{EventId, OneShot, Repeating, ScheduledEvent};
 
 /// A deterministic discrete-event scheduler with a virtual clock.
 ///
@@ -17,6 +18,14 @@ use crate::event::{Action, EventId, ScheduledEvent};
 /// Two events scheduled for the same instant fire in the order they were
 /// scheduled, which — together with seeded RNGs — makes whole experiments
 /// bit-for-bit reproducible.
+///
+/// One-shot events wait in a binary heap. The ticks of repeating events
+/// ([`Timer`](crate::Timer)s) wait in one FIFO lane per period instead:
+/// a tick re-arms at `now + period` with a fresh id, and the clock never
+/// goes back while ids only grow, so every lane is sorted by construction
+/// and a tick costs no heap sift. Each step fires the earliest
+/// `(time, id)` among the heap's top and the lanes' fronts, which is the
+/// order one heap holding every event would give.
 ///
 /// # Example
 ///
@@ -40,9 +49,29 @@ use crate::event::{Action, EventId, ScheduledEvent};
 pub struct Scheduler {
     now: Timestamp,
     next_id: u64,
-    heap: BinaryHeap<Reverse<ScheduledEvent>>,
+    heap: BinaryHeap<Reverse<ScheduledEvent<OneShot>>>,
+    lanes: Vec<Lane>,
     executed: u64,
 }
+
+/// The pending ticks of every repeating event with one period, in firing
+/// order.
+struct Lane {
+    period: SimDuration,
+    ticks: VecDeque<ScheduledEvent<Repeating>>,
+}
+
+impl fmt::Debug for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Lane")
+            .field("period", &self.period)
+            .field("len", &self.ticks.len())
+            .finish()
+    }
+}
+
+/// A deadline no event reaches.
+const NEVER: Timestamp = Timestamp::from_millis(u64::MAX);
 
 impl Scheduler {
     /// Creates a scheduler with the clock at [`Timestamp::ZERO`] and no
@@ -52,6 +81,7 @@ impl Scheduler {
             now: Timestamp::ZERO,
             next_id: 0,
             heap: BinaryHeap::new(),
+            lanes: Vec::new(),
             executed: 0,
         }
     }
@@ -68,7 +98,13 @@ impl Scheduler {
 
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(|l| l.ticks.len()).sum::<usize>()
+    }
+
+    fn take_id(&mut self) -> EventId {
+        let id = EventId(self.next_id);
+        self.next_id += 1;
+        id
     }
 
     /// Schedules `action` to run at absolute time `at`.
@@ -79,31 +115,45 @@ impl Scheduler {
     where
         F: FnOnce(&mut Scheduler) + 'static,
     {
-        self.push(at, Action::Once(Box::new(action)))
+        let at = at.max(self.now);
+        let id = self.take_id();
+        let action: OneShot = Box::new(action);
+        self.heap.push(Reverse(ScheduledEvent { at, id, action }));
+        id
     }
 
-    /// Schedules `body` to run after `delay` and then every `period` for
-    /// as long as it returns `true`. The same box is re-armed each time, so
-    /// a repeating event allocates only when it is first scheduled.
+    /// Schedules `body` to run one `period` from now and then every
+    /// `period` for as long as it returns `true`. The same box is re-armed
+    /// each time, so a repeating event allocates only when it is first
+    /// scheduled.
     ///
     /// The re-armed event takes its id after `body` has run, exactly as if
     /// `body` had ended by scheduling its own successor: events that `body`
     /// schedules for the next tick's instant fire before that tick.
-    pub(crate) fn schedule_repeating(
-        &mut self,
-        delay: SimDuration,
-        period: SimDuration,
-        body: Box<dyn FnMut(&mut Scheduler) -> bool>,
-    ) {
-        self.push(self.now + delay, Action::Repeat { period, body });
+    pub(crate) fn schedule_repeating(&mut self, period: SimDuration, body: Repeating) {
+        let lane = match self.lanes.iter().position(|l| l.period == period) {
+            Some(lane) => lane,
+            None => {
+                self.lanes.push(Lane {
+                    period,
+                    ticks: VecDeque::new(),
+                });
+                self.lanes.len() - 1
+            }
+        };
+        self.rearm(lane, body);
     }
 
-    fn push(&mut self, at: Timestamp, action: Action) -> EventId {
-        let at = at.max(self.now);
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        self.heap.push(Reverse(ScheduledEvent { at, id, action }));
-        id
+    /// Queues `body`'s next tick at the back of `lane`, one period from
+    /// now.
+    fn rearm(&mut self, lane: usize, body: Repeating) {
+        let id = self.take_id();
+        let lane = &mut self.lanes[lane];
+        lane.ticks.push_back(ScheduledEvent {
+            at: self.now + lane.period,
+            id,
+            action: body,
+        });
     }
 
     /// Schedules `action` to run `delay` after the current virtual time.
@@ -126,17 +176,42 @@ impl Scheduler {
     /// Executes the single earliest pending event, advancing the clock to
     /// its timestamp. Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(event)) = self.heap.pop() else {
-            return false;
-        };
-        debug_assert!(event.at >= self.now, "event scheduled in the past");
-        self.now = event.at;
+        self.fire_next(NEVER)
+    }
+
+    /// Executes the earliest pending event if it is due by `deadline`:
+    /// the heap's top or a lane's front, whichever comes first in
+    /// `(time, id)`. Returns `false`, firing nothing, when no event is.
+    fn fire_next(&mut self, deadline: Timestamp) -> bool {
+        let mut next = self.heap.peek().map(|Reverse(e)| e.key());
+        let mut from_lane = None;
+        for (lane, l) in self.lanes.iter().enumerate() {
+            if let Some(tick) = l.ticks.front() {
+                if next.is_none_or(|key| tick.key() < key) {
+                    next = Some(tick.key());
+                    from_lane = Some(lane);
+                }
+            }
+        }
+        match next {
+            Some((at, _)) if at <= deadline => {
+                debug_assert!(at >= self.now, "event scheduled in the past");
+                self.now = at;
+            }
+            _ => return false,
+        }
         self.executed += 1;
-        match event.action {
-            Action::Once(action) => action(self),
-            Action::Repeat { period, mut body } => {
-                if body(self) {
-                    self.push(self.now + period, Action::Repeat { period, body });
+        match from_lane {
+            None => {
+                if let Some(Reverse(event)) = self.heap.pop() {
+                    (event.action)(self);
+                }
+            }
+            Some(lane) => {
+                if let Some(mut tick) = self.lanes[lane].ticks.pop_front() {
+                    if (tick.action)(self) {
+                        self.rearm(lane, tick.action);
+                    }
                 }
             }
         }
@@ -153,9 +228,7 @@ impl Scheduler {
     ///
     /// Events scheduled exactly at `deadline` are executed.
     pub fn run_until(&mut self, deadline: Timestamp) {
-        while matches!(self.heap.peek(), Some(Reverse(e)) if e.at <= deadline) {
-            self.step();
-        }
+        while self.fire_next(deadline) {}
         self.now = self.now.max(deadline);
     }
 

@@ -8,12 +8,14 @@
 //! with [`Timer::start_while`] and let the tick end it.
 //!
 //! A timer is one repeating scheduler event: each tick re-arms the same
-//! boxed body in place, so a running timer allocates nothing per tick.
+//! boxed body at the back of its period's lane in the scheduler, so a
+//! running timer allocates nothing per tick and pays no heap sift.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use crate::clock::SimDuration;
+use crate::event::Repeating;
 use crate::scheduler::Scheduler;
 
 /// A recurring timer.
@@ -135,7 +137,7 @@ where
     let handle = TimerHandle {
         active: active.clone(),
     };
-    let body = move |s: &mut Scheduler| {
+    let mut body: Repeating = Box::new(move |s: &mut Scheduler| {
         if !active.get() {
             return false;
         }
@@ -144,8 +146,18 @@ where
         }
         // The callback may have stopped the timer; re-check before rearming.
         active.get()
-    };
-    sched.schedule_repeating(initial_delay, period, Box::new(body));
+    });
+    if initial_delay == period {
+        sched.schedule_repeating(period, body);
+    } else {
+        // A first tick off the period grid would unsort the lane, so it
+        // is a one-shot that moves the body into the lane once it has run.
+        sched.schedule_after(initial_delay, move |s| {
+            if body(s) {
+                s.schedule_repeating(period, body);
+            }
+        });
+    }
     handle
 }
 
@@ -298,6 +310,47 @@ mod tests {
 
     const HORIZON_MS: u64 = 300;
 
+    /// Periods that timers draw most of the time, so that in most
+    /// scenarios several timers share a lane.
+    const SHARED_PERIODS: [u64; 2] = [3, 7];
+
+    fn plans(rng: &mut SimRng) -> Vec<TimerPlan> {
+        let n = rng.uniform_u64(1, 7) as usize;
+        (0..n)
+            .map(|_| {
+                let start_at = if rng.chance(0.6) {
+                    0
+                } else {
+                    rng.uniform_u64(1, 100)
+                };
+                let period = if rng.chance(0.8) {
+                    SHARED_PERIODS[rng.uniform_u64(0, 2) as usize]
+                } else {
+                    rng.uniform_u64(1, 15)
+                };
+                // A first tick one period away starts in the lane, as
+                // `Timer::start`'s does; any other phase starts as a
+                // one-shot.
+                let phase = if rng.chance(0.3) {
+                    0
+                } else if rng.chance(0.3) {
+                    period
+                } else {
+                    rng.uniform_u64(1, 20)
+                };
+                TimerPlan {
+                    start_at,
+                    phase,
+                    period,
+                    stop_self_after: rng.chance(0.3).then(|| rng.uniform_u64(1, 6)),
+                    stop_other: rng
+                        .chance(0.3)
+                        .then(|| (rng.uniform_u64(0, n as u64) as usize, rng.uniform_u64(1, 6))),
+                }
+            })
+            .collect()
+    }
+
     fn record(log: &Log, s: &Scheduler, label: String) {
         log.borrow_mut().push((s.now().as_millis(), label));
     }
@@ -350,30 +403,16 @@ mod tests {
         handles.borrow_mut()[i] = Some(h);
     }
 
+    /// What a replay leaves: the firing log, the event count, the clock
+    /// and the events still pending.
+    type Replay = (Vec<(u64, String)>, u64, Timestamp, usize);
+
     /// Replays the scenario generated from `seed` with timers started by
-    /// `start`, returning the firing log, the event count and the clock.
-    fn replay(seed: u64, start: StartFn) -> (Vec<(u64, String)>, u64, Timestamp) {
+    /// `start`.
+    fn replay(seed: u64, start: StartFn) -> Replay {
         let mut rng = SimRng::seed_from(seed);
-        let n = rng.uniform_u64(1, 7) as usize;
-        let plans: Vec<TimerPlan> = (0..n)
-            .map(|_| TimerPlan {
-                start_at: if rng.chance(0.6) {
-                    0
-                } else {
-                    rng.uniform_u64(1, 100)
-                },
-                phase: if rng.chance(0.3) {
-                    0
-                } else {
-                    rng.uniform_u64(1, 20)
-                },
-                period: rng.uniform_u64(1, 15),
-                stop_self_after: rng.chance(0.3).then(|| rng.uniform_u64(1, 6)),
-                stop_other: rng
-                    .chance(0.3)
-                    .then(|| (rng.uniform_u64(0, n as u64) as usize, rng.uniform_u64(1, 6))),
-            })
-            .collect();
+        let plans = plans(&mut rng);
+        let n = plans.len();
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let handles: Handles = Rc::new(RefCell::new(vec![None; n]));
         let mut sched = Scheduler::new();
@@ -419,19 +458,27 @@ mod tests {
 
         sched.run_until(Timestamp::from_millis(HORIZON_MS));
         let fired = log.borrow().clone();
-        (fired, sched.events_executed(), sched.now())
+        (fired, sched.events_executed(), sched.now(), sched.pending())
     }
 
     #[test]
     fn timers_match_the_rescheduling_oracle() {
         let (real, oracle): (StartFn, StartFn) = (Timer::start_with_phase, oracle_start_with_phase);
-        let mut fired = 0;
+        let (mut fired, mut shared) = (0, 0);
         for seed in 0..400 {
             let got = replay(seed, real);
             let want = replay(seed, oracle);
             assert_eq!(got, want, "seed {seed}");
             fired += got.0.len();
+            let periods: Vec<u64> = plans(&mut SimRng::seed_from(seed))
+                .iter()
+                .map(|p| p.period)
+                .collect();
+            if (1..periods.len()).any(|i| periods[..i].contains(&periods[i])) {
+                shared += 1;
+            }
         }
         assert!(fired > 10_000, "scenarios too small: {fired} firings");
+        assert!(shared > 200, "periods shared in only {shared} scenarios");
     }
 }

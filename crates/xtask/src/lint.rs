@@ -99,12 +99,15 @@ fn patterns() -> Vec<Pattern> {
     // delivery. Topics and device ids there are interned (`InternedTopic`),
     // endpoint names are shared (`EndpointId`) and payloads are shared
     // (`Payload`); an ad-hoc `to_string()`/`String::from`/`format!`
-    // re-allocates what is already shared, once per message.
+    // re-allocates what is already shared, once per message. The
+    // scheduler and its timers run under every message and every tick.
     const HOT_PATH_MODULES: &[&str] = &[
         "crates/broker/src",
         "crates/core/src/client",
         "crates/core/src/server",
         "crates/net/src",
+        "crates/runtime/src/scheduler.rs",
+        "crates/runtime/src/timer.rs",
     ];
     // Components are single-threaded `Rc<RefCell<_>>` handles; only the
     // interner's static pool needs a lock.
@@ -661,6 +664,12 @@ mod tests {
         let violations = scan_source("crates/net/src/network.rs", &send, &patterns());
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].pattern, "string-from");
+        // So is the scheduler, which every event and timer tick runs
+        // through; the JSON codec beside it builds strings by design.
+        let violations = scan_source("crates/runtime/src/scheduler.rs", &fixture, &patterns());
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].pattern, "to-string");
+        assert!(scan_source("crates/runtime/src/json/write.rs", &fixture, &patterns()).is_empty());
         // Cold/error paths opt out with the marker.
         let marker = tok(&["lint:", "allow(to-string)"]);
         let allowed = format!("fn f(t: &Topic) -> String {{ t{needle} }} // {marker}\n");

@@ -1,7 +1,8 @@
 //! Allocation counts on the storage ingest path, which must pay only for
 //! the rows it stores; on the read paths, which must pay only for what
-//! they return; and on the network's send path and the world's telemetry
-//! fold, which must not copy the names they only read.
+//! they return; on the network's send path and the world's telemetry
+//! fold, which must not copy the names they only read; and on a running
+//! timer's tick, which re-arms the box it already has.
 //!
 //! A counting global allocator wraps `System`. The file holds a single
 //! `#[test]`, so no other test runs in the process while a count is taken.
@@ -9,6 +10,8 @@
 //! telemetry keys, interner entries) and then counts a second run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use sensocial::{
@@ -17,7 +20,7 @@ use sensocial::{
 };
 use sensocial_net::{EndpointId, Network};
 use sensocial_runtime::json;
-use sensocial_runtime::{Scheduler, SimDuration, Timestamp};
+use sensocial_runtime::{Scheduler, SimDuration, Timer, Timestamp};
 use sensocial_sim::{World, WorldConfig};
 use sensocial_storage::{Collection, Query, SampleQuery, StorageConfig, StorageEngine};
 use sensocial_types::geo::cities;
@@ -89,6 +92,9 @@ const COLUMNAR_INGEST_ALLOCS_PER_ROW: u64 = 17;
 /// make it five a send.
 const SENDS: u64 = 999;
 const SEND_ALLOCS: u64 = 1_010;
+
+/// Timers of one period ticking in a counted run.
+const TIMERS: u64 = 1_000;
 
 /// Appends `ROWS` location rows from 20 users and devices into a fresh
 /// engine and flushes them, returning the engine and the allocations the
@@ -221,6 +227,24 @@ fn read_paths_allocate_only_for_what_they_return() {
         allocs <= SEND_ALLOCS,
         "{SENDS} sends allocated {allocs} times"
     );
+
+    // A warm tick re-arms its timer's boxed body at the back of the
+    // period's lane: 1 000 timers and a phased one, whose first tick has
+    // moved it into the lane, tick 100 times each without an allocation.
+    let mut sched = Scheduler::new();
+    let ticks = Rc::new(Cell::new(0u64));
+    let second = SimDuration::from_secs(1);
+    for _ in 0..TIMERS {
+        let t = ticks.clone();
+        Timer::start(&mut sched, second, move |_| t.set(t.get() + 1));
+    }
+    let t = ticks.clone();
+    Timer::start_with_phase(&mut sched, SimDuration::ZERO, second, move |_| {
+        t.set(t.get() + 1)
+    });
+    let ((), allocs) = counted(|| sched.run_for(SimDuration::from_secs(100)));
+    assert_eq!(ticks.get(), (TIMERS + 1) * 200 + 1);
+    assert_eq!(allocs, 0, "100 warm ticks of each timer allocated");
 
     // The deployment's telemetry folds each registry in place, so a warm
     // snapshot of 100 devices allocates no more than one of 10: each

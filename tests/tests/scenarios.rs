@@ -125,21 +125,35 @@ fn campaign_crash_recovery_loses_and_duplicates_nothing() {
     );
 }
 
+/// FNV-1a 64 digest of a canonical snapshot, the fold the host
+/// benchmark's `check` prints.
+fn digest(wire: &str) -> u64 {
+    wire.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// Same-seed determinism, enforced to the byte: generation produces the
 /// same schedule wire form twice, and two full world replays of each
 /// fast scenario agree on the canonical snapshot wire form exactly.
 /// The campaign-crash replay makes this a crash-recovery determinism
 /// gate: both runs crash and recover the scheduler at the same virtual
 /// instants, so the merged snapshots must match to the byte.
+///
+/// Two runs of one build agree even when a change reorders events in
+/// both, so each snapshot's digest is also pinned. The values are those
+/// of `sensocial-bench --scenario <s> --snapshot-out`; a change that
+/// moves a snapshot on purpose updates them and gives its reason in
+/// CHANGES.md.
 #[test]
 fn fast_scenarios_are_deterministic() {
-    for name in [
-        ScenarioName::StadiumEgress,
-        ScenarioName::CommuteCascade,
-        ScenarioName::ChurnWave,
-        ScenarioName::CampaignStorm,
-        ScenarioName::CampaignQuota,
-        ScenarioName::CampaignCrash,
+    for (name, pinned) in [
+        (ScenarioName::StadiumEgress, 0xaf19_eac4_6eaa_b289),
+        (ScenarioName::CommuteCascade, 0x7799_18ca_505e_18ee),
+        (ScenarioName::ChurnWave, 0xcd71_010e_5bc9_bd39),
+        (ScenarioName::CampaignStorm, 0xe1d5_513f_5955_6c9b),
+        (ScenarioName::CampaignQuota, 0xb958_6daa_af54_3535),
+        (ScenarioName::CampaignCrash, 0x0c9a_8632_e83d_7600),
     ] {
         let spec = ScenarioSpec::named(name);
         assert_eq!(
@@ -152,6 +166,11 @@ fn fast_scenarios_are_deterministic() {
         assert_eq!(
             a.wire, b.wire,
             "{name}: same-seed replays must produce byte-identical snapshots"
+        );
+        assert_eq!(
+            digest(&a.wire),
+            pinned,
+            "{name}: the snapshot moved from its pinned digest {pinned:016x}"
         );
         assert_eq!(a.backlog_samples, b.backlog_samples, "{name}");
         assert_eq!(a.subscriber_deliveries, b.subscriber_deliveries, "{name}");
